@@ -1,14 +1,16 @@
 //! Batched stepping cost of the sans-I/O protocol core, the twin of
 //! `proto_step`: the same publish pipeline and receiver replay, but driven
-//! through [`NodeCore::on_events`] / [`ReceiverCore::offer_batch`] with one
-//! reused [`CommandBuf`] per driver loop. Comparing the two suites'
-//! per-element times measures exactly what the batch fast path buys —
+//! through [`NodeCore::on_event_into`] / [`ReceiverCore::on_event_into`]
+//! with one reused [`CommandBuf`] per driver loop, the way the drivers
+//! call the cores. Comparing the two suites' per-element times measures
+//! exactly what the reused buffer buys —
 //! identical commands (PROTOCOL.md §12), minus the per-event `Vec`
 //! allocations.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use seqnet_core::proto::trace::NullSink;
 use seqnet_core::proto::{Command, CommandBuf, Event, Frame, NodeCore, Peer, ReceiverCore, Routing};
 use seqnet_core::{Message, MessageId, ProtocolState};
 use seqnet_membership::workload::ZipfGroups;
@@ -35,8 +37,8 @@ fn publish_frames(m: &Membership, graph: &SequencingGraph) -> Vec<Frame> {
 }
 
 /// The `proto_step` pipeline rewritten batch-first: frames destined for
-/// the same core are grouped and fed through one `on_events` call, with
-/// one `CommandBuf` reused across every call in the run.
+/// the same core are grouped and fed through one loop, with one
+/// `CommandBuf` reused across every call in the run.
 fn run_pipeline_batched(
     m: &Membership,
     graph: &SequencingGraph,
@@ -62,12 +64,15 @@ fn run_pipeline_batched(
         };
         let batch: Vec<Frame> = std::mem::take(&mut queues[node]);
         buf.clear();
-        cores[node].on_events(
-            &routing,
-            &mut protocol,
-            batch.into_iter().map(|frame| Event::FrameArrived { frame }),
-            &mut buf,
-        );
+        for frame in batch {
+            cores[node].on_event_into(
+                &routing,
+                &mut protocol,
+                Event::FrameArrived { frame },
+                &mut NullSink,
+                &mut buf,
+            );
+        }
         for cmd in buf.drain() {
             match cmd {
                 Command::Send {
@@ -100,7 +105,7 @@ fn bench_proto_batch(c: &mut Criterion) {
     });
 
     // Receiver side: the busiest host's egress frames through one
-    // `offer_batch` call per replay, reusing the buffer across iterations.
+    // loop per replay, reusing the buffer across iterations.
     let busy = m
         .nodes()
         .max_by_key(|&n| m.groups_of(n).count())
@@ -117,13 +122,9 @@ fn bench_proto_batch(c: &mut Criterion) {
         b.iter(|| {
             let mut receiver = ReceiverCore::new(busy, &m, &graph);
             buf.clear();
-            receiver.offer_batch(
-                host_frames
-                    .iter()
-                    .cloned()
-                    .map(|frame| Event::FrameArrived { frame }),
-                &mut buf,
-            );
+            for frame in host_frames.iter().cloned() {
+                receiver.on_event_into(Event::FrameArrived { frame }, &mut NullSink, &mut buf);
+            }
             black_box(buf.len())
         })
     });

@@ -1,10 +1,13 @@
-//! Stepping cost of the sans-I/O protocol core: events in, commands out,
-//! no transport. Both the simulator and the threaded runtime pay this per
+//! Stepping cost of the sans-I/O protocol core with a fresh command
+//! buffer per event (the `proto::testing` helpers): events in, commands
+//! out, no transport. Both the simulator and the threaded runtime pay this per
 //! frame, so events/second here bounds either driver's sequencing rate.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use seqnet_core::proto::testing::{node_commands, receiver_commands};
+use seqnet_core::proto::trace::NullSink;
 use seqnet_core::proto::{Command, Event, Frame, NodeCore, Peer, ReceiverCore, Routing};
 use seqnet_core::{Message, MessageId, ProtocolState};
 use seqnet_membership::workload::ZipfGroups;
@@ -52,10 +55,12 @@ fn run_pipeline(
         })
         .collect();
     while let Some((node, frame)) = pending.pop() {
-        let commands = cores[node].on_event(
+        let commands = node_commands(
+            &mut cores[node],
             &routing,
             &mut protocol,
             Event::FrameArrived { frame },
+            &mut NullSink,
         );
         for cmd in commands {
             match cmd {
@@ -106,9 +111,9 @@ fn bench_proto_step(c: &mut Criterion) {
             let mut receiver = ReceiverCore::new(busy, &m, &graph);
             let mut delivered = 0u64;
             for frame in host_frames.iter().cloned() {
-                delivered += receiver
-                    .on_event(Event::FrameArrived { frame })
-                    .len() as u64;
+                delivered +=
+                    receiver_commands(&mut receiver, Event::FrameArrived { frame }, &mut NullSink)
+                        .len() as u64;
             }
             black_box(delivered)
         })

@@ -377,13 +377,13 @@ impl Invariant for StructuralValidity {
 
 /// The PROTOCOL.md §12 equivalence contract, checked differentially on
 /// every explored edge: executing any enabled transition through the
-/// batched fast path ([`World::step_batched`] — `NodeCore::on_events`,
-/// `ReceiverCore::offer_batch`, batched restart replay) must leave the
-/// world in exactly the state, with exactly the step record, that
-/// per-event stepping produces. With this oracle registered,
-/// `seqnet-check --all` fails if batched and stepped execution diverge on
-/// any explored schedule — while the exploration itself keeps stepping
-/// the *unbatched* semantics.
+/// batched path ([`World::step_batched`] — one reused `CommandBuf` that
+/// every core call of the transition appends into, batched restart
+/// replay) must leave the world in exactly the state, with exactly the
+/// step record, that stepping with a fresh buffer per event produces.
+/// With this oracle registered, `seqnet-check --all` fails if batched and
+/// stepped execution diverge on any explored schedule — while the
+/// exploration itself keeps stepping the *unbatched* semantics.
 pub struct BatchVsStep;
 
 impl Invariant for BatchVsStep {

@@ -26,10 +26,10 @@
 //! windows, the group-commit staged-output rule (PROTOCOL.md §8), C1/C2
 //! structural validity after `overlap::build`/`colocate`, and the batched
 //! execution contract (PROTOCOL.md §12): on every explored edge the
-//! `batch-vs-step` oracle re-executes the transition through the batched
-//! core fast path and fails the run if it diverges from per-event
-//! stepping — while the exploration itself keeps stepping the unbatched
-//! semantics.
+//! `batch-vs-step` oracle re-executes the transition with one reused
+//! command buffer (batched replay included) and fails the run if it
+//! diverges from stepping with a fresh buffer per event — while the
+//! exploration itself keeps stepping the unbatched semantics.
 //!
 //! The named configurations under [`scenario`] include the generalization
 //! of the original ad-hoc `tests/model_check_case3.rs` sweep; the

@@ -15,6 +15,7 @@
 //! plus the scenario fully determines the successor state. That is what
 //! makes a [`seqnet_sim::ScheduleTrace`] replayable.
 
+use seqnet_core::proto::testing::{node_commands, receiver_commands};
 use seqnet_core::proto::trace::{Actor, EventKind, NullSink, TraceEvent, TraceSink};
 use seqnet_core::proto::{
     Command, CommandBuf, Digest, Event, Frame, NodeCore, Peer, ProtocolState, ReceiverCore, Routing,
@@ -493,7 +494,8 @@ impl World {
                         *self.rx_count[node].entry(src).or_insert(0) += 1;
                         let (membership, graph) = setup.config(advanced);
                         let routing = Routing::solo(membership, graph);
-                        let cmds = self.cores[node].on_event_traced(
+                        let cmds = node_commands(
+                            &mut self.cores[node],
                             &routing,
                             &mut self.protocol,
                             Event::FrameArrived { frame },
@@ -506,7 +508,8 @@ impl World {
                             .receivers
                             .get_mut(&host)
                             .unwrap_or_else(|| panic!("{host} has no receiver"));
-                        for cmd in receiver.on_event_traced(Event::FrameArrived { frame }, sink) {
+                        for cmd in receiver_commands(receiver, Event::FrameArrived { frame }, sink)
+                        {
                             match cmd {
                                 Command::Deliver { host, msg } => {
                                     self.delivered
@@ -533,8 +536,13 @@ impl World {
                     FaultKind::Crash => Event::NodeCrashed,
                     FaultKind::Restart => Event::NodeRestarted,
                 };
-                let cmds =
-                    self.cores[node].on_event_traced(&routing, &mut self.protocol, event, sink);
+                let cmds = node_commands(
+                    &mut self.cores[node],
+                    &routing,
+                    &mut self.protocol,
+                    event,
+                    sink,
+                );
                 self.execute(node, cmds, &mut record, sink);
             }
             Transition::Snapshot(node) => {
@@ -548,7 +556,8 @@ impl World {
                     .collect();
                 let (membership, graph) = setup.config(advanced);
                 let routing = Routing::solo(membership, graph);
-                let cmds = self.cores[node].on_event_traced(
+                let cmds = node_commands(
+                    &mut self.cores[node],
                     &routing,
                     &mut self.protocol,
                     Event::SnapshotTaken { rx_next },
@@ -632,14 +641,14 @@ impl World {
         self.handoff = false;
     }
 
-    /// [`World::step`] through the batched fast path (PROTOCOL.md §12):
-    /// core events go through [`NodeCore::on_events`] /
-    /// [`ReceiverCore::offer_batch`] with a [`CommandBuf`], and a
-    /// restart's replayed frames re-enter the core as *one* batch instead
-    /// of one call per frame. The `batch-vs-step` oracle holds this method
-    /// to state-and-record equivalence with [`World::step`] on every
-    /// explored edge; it exists for that differential check, not for
-    /// speed.
+    /// [`World::step`] the way drivers call the cores (PROTOCOL.md §12):
+    /// where `step` gives every core call a fresh buffer, this method
+    /// appends every call of the transition into **one** reused
+    /// [`CommandBuf`], and a restart's replayed frames re-enter the core
+    /// as *one* batch instead of one call per frame. The `batch-vs-step`
+    /// oracle holds this method to state-and-record equivalence with
+    /// [`World::step`] on every explored edge; it exists for that
+    /// differential check, not for speed.
     ///
     /// # Panics
     ///
@@ -652,9 +661,11 @@ impl World {
         };
         let setup = self.setup.clone();
         let advanced = self.advanced();
+        // The one buffer every core call of this step appends into.
+        let mut buf = CommandBuf::new();
         match transition {
-            // Publishing and the reconfiguration steps touch no batched
-            // core API; the paths are identical by construction.
+            // Publishing and the reconfiguration steps call no core; the
+            // paths are identical by construction.
             Transition::Publish(_) | Transition::Reconfigure | Transition::EpochAdvance => {
                 return self.step(transition)
             }
@@ -675,22 +686,25 @@ impl World {
                         *self.rx_count[node].entry(src).or_insert(0) += 1;
                         let (membership, graph) = setup.config(advanced);
                         let routing = Routing::solo(membership, graph);
-                        let mut buf = CommandBuf::new();
-                        self.cores[node].on_events(
+                        self.cores[node].on_event_into(
                             &routing,
                             &mut self.protocol,
-                            [Event::FrameArrived { frame }],
+                            Event::FrameArrived { frame },
+                            &mut NullSink,
                             &mut buf,
                         );
-                        self.execute_batched(node, buf.into_commands(), &mut record);
+                        self.execute_batched(node, &mut buf, &mut record);
                     }
                     Peer::Host(host) => {
                         let receiver = self
                             .receivers
                             .get_mut(&host)
                             .unwrap_or_else(|| panic!("{host} has no receiver"));
-                        let mut buf = CommandBuf::new();
-                        receiver.offer_batch([Event::FrameArrived { frame }], &mut buf);
+                        receiver.on_event_into(
+                            Event::FrameArrived { frame },
+                            &mut NullSink,
+                            &mut buf,
+                        );
                         for cmd in buf.drain() {
                             match cmd {
                                 Command::Deliver { host, msg } => {
@@ -718,9 +732,14 @@ impl World {
                     FaultKind::Crash => Event::NodeCrashed,
                     FaultKind::Restart => Event::NodeRestarted,
                 };
-                let mut buf = CommandBuf::new();
-                self.cores[node].on_events(&routing, &mut self.protocol, [event], &mut buf);
-                self.execute_batched(node, buf.into_commands(), &mut record);
+                self.cores[node].on_event_into(
+                    &routing,
+                    &mut self.protocol,
+                    event,
+                    &mut NullSink,
+                    &mut buf,
+                );
+                self.execute_batched(node, &mut buf, &mut record);
             }
             Transition::Snapshot(node) => {
                 assert!(
@@ -733,29 +752,31 @@ impl World {
                     .collect();
                 let (membership, graph) = setup.config(advanced);
                 let routing = Routing::solo(membership, graph);
-                let mut buf = CommandBuf::new();
-                self.cores[node].on_events(
+                self.cores[node].on_event_into(
                     &routing,
                     &mut self.protocol,
-                    [Event::SnapshotTaken { rx_next }],
+                    Event::SnapshotTaken { rx_next },
+                    &mut NullSink,
                     &mut buf,
                 );
-                self.execute_batched(node, buf.into_commands(), &mut record);
+                self.execute_batched(node, &mut buf, &mut record);
             }
         }
         record
     }
 
-    /// [`World::execute`] for the batched path: maximal runs of
-    /// [`Command::Replay`] re-enter the core as one `on_events` batch (the
-    /// command-order position of the run is preserved, so interleaved
-    /// non-replay commands still execute where stepped execution would).
-    fn execute_batched(&mut self, node: usize, cmds: Vec<Command>, record: &mut StepRecord) {
+    /// [`World::execute`] for the batched path: drains `buf` and executes
+    /// its commands; maximal runs of [`Command::Replay`] re-enter the core
+    /// as one loop appending into the same reused `buf` (the command-order
+    /// position of the run is preserved, so interleaved non-replay
+    /// commands still execute where stepped execution would).
+    fn execute_batched(&mut self, node: usize, buf: &mut CommandBuf, record: &mut StepRecord) {
         let setup = self.setup.clone();
+        let cmds: Vec<Command> = buf.drain().collect();
         let mut replays: Vec<Event> = Vec::new();
         for cmd in cmds {
             if !matches!(cmd, Command::Replay { .. }) && !replays.is_empty() {
-                self.replay_batch(node, std::mem::take(&mut replays), record);
+                self.replay_batch(node, std::mem::take(&mut replays), buf, record);
             }
             match cmd {
                 Command::Send { to, frame } => {
@@ -781,19 +802,27 @@ impl World {
             }
         }
         if !replays.is_empty() {
-            self.replay_batch(node, replays, record);
+            self.replay_batch(node, replays, buf, record);
         }
     }
 
-    /// Feeds a run of replayed frames into `node`'s core as one batch and
-    /// executes the resulting commands (batched, recursively).
-    fn replay_batch(&mut self, node: usize, events: Vec<Event>, record: &mut StepRecord) {
+    /// Feeds a run of replayed frames into `node`'s core as one batch —
+    /// every event appending into the reused `buf` — and executes the
+    /// resulting commands (batched, recursively).
+    fn replay_batch(
+        &mut self,
+        node: usize,
+        events: Vec<Event>,
+        buf: &mut CommandBuf,
+        record: &mut StepRecord,
+    ) {
         let setup = self.setup.clone();
         let (membership, graph) = setup.config(self.advanced());
         let routing = Routing::solo(membership, graph);
-        let mut buf = CommandBuf::new();
-        self.cores[node].on_events(&routing, &mut self.protocol, events, &mut buf);
-        self.execute_batched(node, buf.into_commands(), record);
+        for event in events {
+            self.cores[node].on_event_into(&routing, &mut self.protocol, event, &mut NullSink, buf);
+        }
+        self.execute_batched(node, buf, record);
     }
 
     /// Executes the commands a node core returned. [`Command::Replay`]
@@ -844,7 +873,8 @@ impl World {
                 Command::Replay { frame } => {
                     let (membership, graph) = setup.config(self.advanced());
                     let routing = Routing::solo(membership, graph);
-                    let cmds = self.cores[node].on_event_traced(
+                    let cmds = node_commands(
+                        &mut self.cores[node],
                         &routing,
                         &mut self.protocol,
                         Event::FrameArrived { frame },

@@ -363,10 +363,10 @@ impl OrderedPubSub {
     }
 
     /// Selects between the batched fast path (the default: every frame
-    /// due on a channel at the same instant flows through one
-    /// [`NodeCore::on_events`] / [`ReceiverCore::offer_batch`] call with
-    /// reused buffers) and per-event stepping (`false`: batch limit 1,
-    /// one core call per frame). The two modes are semantically
+    /// due on a channel at the same instant flows through one loop of
+    /// [`NodeCore::on_event_into`] / [`ReceiverCore::on_event_into`] calls
+    /// under one sink lock with reused buffers) and per-event stepping
+    /// (`false`: batch limit 1, one core call per frame). The two modes are semantically
     /// equivalent — same delivery orders, same timestamps, same stats
     /// (PROTOCOL.md §12) — which `tests/batch_equivalence.rs` verifies;
     /// stepping exists for that comparison and for bisecting.
@@ -975,6 +975,22 @@ fn pump_channel(sim: &mut Simulator<World>, from: Endpoint, to: Endpoint) {
     sim.world_mut().batch_scratch = batch;
 }
 
+/// Locks the installed trace sink, if any, at virtual time `now` and hands
+/// `f` the one sink every core call takes — `None` when untraced — so each
+/// call site makes a single sink-generic call.
+fn with_sink<R>(
+    sink: &Option<Arc<Mutex<dyn TraceSink + Send>>>,
+    now: SimTime,
+    f: impl FnOnce(&mut Option<&mut (dyn TraceSink + Send + 'static)>) -> R,
+) -> R {
+    let mut guard = sink
+        .as_ref()
+        .map(|s| s.lock().expect("trace sink poisoned"));
+    let mut sink = guard.as_deref_mut();
+    sink.now(now.as_micros());
+    f(&mut sink)
+}
+
 /// Event: a batch of messages reaches a sequencing atom. The atom's
 /// protocol core makes every ordering decision (stamp, forward, park);
 /// this driver only translates the emitted commands into channel
@@ -1009,14 +1025,11 @@ fn at_atom_batch(sim: &mut Simulator<World>, msgs: &mut Vec<Message>, atom: Atom
                 target_atom: Some(atom),
             },
         });
-        match &world.sink {
-            Some(sink) => {
-                let mut sink = sink.lock().expect("trace sink poisoned");
-                sink.now(now.as_micros());
-                core.on_events_traced(&routing, &mut world.protocol, events, &mut *sink, &mut out);
+        with_sink(&world.sink, now, |sink| {
+            for event in events {
+                core.on_event_into(&routing, &mut world.protocol, event, sink, &mut out);
             }
-            None => core.on_events(&routing, &mut world.protocol, events, &mut out),
-        }
+        });
     }
 
     // Execute the emitted sends under the transport models. Each frame
@@ -1103,14 +1116,16 @@ fn crash_atom(sim: &mut Simulator<World>, atom: AtomId) {
     let world = sim.world_mut();
     let routing = Routing::solo(&world.membership, &world.graph);
     let core = &mut world.cores[atom.0 as usize];
-    let commands = match &world.sink {
-        Some(sink) => {
-            let mut sink = sink.lock().expect("trace sink poisoned");
-            sink.now(now.as_micros());
-            core.on_event_traced(&routing, &mut world.protocol, Event::NodeCrashed, &mut *sink)
-        }
-        None => core.on_event(&routing, &mut world.protocol, Event::NodeCrashed),
-    };
+    let mut commands = CommandBuf::new();
+    with_sink(&world.sink, now, |sink| {
+        core.on_event_into(
+            &routing,
+            &mut world.protocol,
+            Event::NodeCrashed,
+            sink,
+            &mut commands,
+        );
+    });
     debug_assert!(commands.is_empty());
 }
 
@@ -1132,20 +1147,24 @@ fn restart_atom(sim: &mut Simulator<World>, atom: AtomId) {
     let limit = world.batch_limit.max(1);
     let routing = Routing::solo(&world.membership, &world.graph);
     let core = &mut world.cores[atom.0 as usize];
-    let commands = match &world.sink {
-        Some(sink) => {
-            let mut sink = sink.lock().expect("trace sink poisoned");
-            sink.now(now.as_micros());
-            core.on_event_traced(&routing, &mut world.protocol, Event::NodeRestarted, &mut *sink)
-        }
-        None => core.on_event(&routing, &mut world.protocol, Event::NodeRestarted),
-    };
+    // A buffer of its own: replaying below re-enters `at_atom_batch`,
+    // which borrows the world's reused one.
+    let mut commands = CommandBuf::new();
+    with_sink(&world.sink, now, |sink| {
+        core.on_event_into(
+            &routing,
+            &mut world.protocol,
+            Event::NodeRestarted,
+            sink,
+            &mut commands,
+        );
+    });
     // Parked frames replay through the normal arrival path as natural
     // batches at the restart instant (arrival order preserved), chunked
     // to the batch limit so stepped mode replays one frame per call.
     let mut batch = std::mem::take(&mut sim.world_mut().batch_scratch);
     debug_assert!(batch.is_empty(), "replay scratch is drained between events");
-    for command in commands {
+    for command in commands.into_commands() {
         match command {
             Command::Replay { frame } => batch.push(frame.msg),
             other => unreachable!("unexpected restart command {other:?}"),
@@ -1190,14 +1209,11 @@ fn arrive_batch(sim: &mut Simulator<World>, msgs: &mut Vec<Message>, member: Nod
                 target_atom: None,
             },
         });
-        match &world.sink {
-            Some(sink) => {
-                let mut sink = sink.lock().expect("trace sink poisoned");
-                sink.now(now.as_micros());
-                receiver.offer_batch_traced(events, &mut *sink, &mut out);
+        with_sink(&world.sink, now, |sink| {
+            for event in events {
+                receiver.on_event_into(event, sink, &mut out);
             }
-            None => receiver.offer_batch(events, &mut out),
-        }
+        });
     }
 
     let mut fired: Vec<Trigger> = Vec::new();

@@ -1,29 +1,30 @@
 //! Batched execution support: a caller-owned command buffer the cores
-//! write into, so whole frame batches flow through the stamp/forward/
+//! append into, so whole frame batches flow through the stamp/forward/
 //! deliver path without per-message `Vec` allocations.
 //!
 //! The equivalence contract (PROTOCOL.md §12): a batch is semantically a
-//! sequence of single events. [`NodeCore::on_events`] and
-//! [`ReceiverCore::offer_batch`] produce exactly the commands the
-//! corresponding `on_event` calls would, in the same order — batching
-//! changes allocation behavior, never protocol behavior. The
-//! `batch_vs_step` checker oracle and `tests/batch_equivalence.rs` hold
-//! both implementations to that contract on every explored schedule.
+//! sequence of single events. Looping [`NodeCore::on_event_into`] or
+//! [`ReceiverCore::on_event_into`] over N events with one reused
+//! [`CommandBuf`] produces exactly the commands N calls with a fresh
+//! buffer each would, in the same order — buffer reuse changes allocation
+//! behavior, never protocol behavior. The `batch_vs_step` checker oracle
+//! and `tests/batch_equivalence.rs` hold the cores to that contract on
+//! every explored schedule.
 //!
-//! [`NodeCore::on_events`]: super::NodeCore::on_events
-//! [`ReceiverCore::offer_batch`]: super::ReceiverCore::offer_batch
+//! [`NodeCore::on_event_into`]: super::NodeCore::on_event_into
+//! [`ReceiverCore::on_event_into`]: super::ReceiverCore::on_event_into
 
 use super::event::Command;
 use crate::Message;
 use seqnet_membership::NodeId;
 
 /// A reusable command sink plus the scratch space the cores need while
-/// filling it. Create one per driver loop, pass it to every batched core
-/// call, and [`clear`](CommandBuf::clear) (or [`drain`](CommandBuf::drain))
+/// filling it. Create one per driver loop, pass it to every core call,
+/// and [`clear`](CommandBuf::clear) (or [`drain`](CommandBuf::drain))
 /// between batches: after warm-up the hot path performs no allocation at
 /// all.
 ///
-/// Batched calls **append**; they never clear. That lets a driver collect
+/// Core calls **append**; they never clear. That lets a driver collect
 /// the output of several cores (e.g. a node batch followed by the
 /// receiver batches it fans out to) into one buffer when convenient.
 #[derive(Debug, Default)]
@@ -61,7 +62,7 @@ impl CommandBuf {
     }
 
     /// Consumes the buffer, returning the commands. Used by the
-    /// single-event wrappers, which still return `Vec<Command>`.
+    /// `Vec`-returning helpers in [`testing`](super::testing).
     pub fn into_commands(self) -> Vec<Command> {
         self.cmds
     }
@@ -84,6 +85,8 @@ impl CommandBuf {
 
 #[cfg(test)]
 mod tests {
+    use super::super::testing::{node_commands, receiver_commands};
+    use super::super::trace::NullSink;
     use super::super::{Command, Event, Frame, NodeCore, ProtocolState, ReceiverCore, Routing};
     use super::*;
     use crate::{Message, MessageId};
@@ -114,7 +117,7 @@ mod tests {
     }
 
     #[test]
-    fn on_events_matches_per_event_stepping_command_for_command() {
+    fn reused_buffer_matches_fresh_buffer_per_event_command_for_command() {
         let (m, graph) = setup();
         let routing = Routing::solo(&m, &graph);
         let events = |graph: &seqnet_overlap::SequencingGraph| -> Vec<Event> {
@@ -125,53 +128,64 @@ mod tests {
                 .collect()
         };
 
-        let mut stepped_protocol = ProtocolState::new(&graph);
-        let mut stepped = NodeCore::new(routing.owner_of(graph.ingress(g(0)).unwrap()), false);
+        let mut fresh_protocol = ProtocolState::new(&graph);
+        let mut fresh = NodeCore::new(routing.owner_of(graph.ingress(g(0)).unwrap()), false);
         let mut expected = Vec::new();
         for event in events(&graph) {
-            expected.extend(stepped.on_event(&routing, &mut stepped_protocol, event));
+            expected.extend(node_commands(
+                &mut fresh,
+                &routing,
+                &mut fresh_protocol,
+                event,
+                &mut NullSink,
+            ));
         }
 
-        let mut batched_protocol = ProtocolState::new(&graph);
-        let mut batched = NodeCore::new(stepped.node(), false);
+        let mut reused_protocol = ProtocolState::new(&graph);
+        let mut reused = NodeCore::new(fresh.node(), false);
         let mut buf = CommandBuf::new();
-        batched.on_events(&routing, &mut batched_protocol, events(&graph), &mut buf);
+        for event in events(&graph) {
+            reused.on_event_into(
+                &routing,
+                &mut reused_protocol,
+                event,
+                &mut NullSink,
+                &mut buf,
+            );
+        }
         assert_eq!(format!("{:?}", buf.commands()), format!("{expected:?}"));
         assert!(buf.members.is_empty(), "fan-out scratch restored empty");
     }
 
     #[test]
-    fn command_buf_appends_across_batches_until_cleared() {
+    fn command_buf_appends_across_calls_until_cleared() {
         let (m, graph) = setup();
         let routing = Routing::solo(&m, &graph);
         let mut protocol = ProtocolState::new(&graph);
         let mut core = NodeCore::new(routing.owner_of(graph.ingress(g(0)).unwrap()), false);
         let mut buf = CommandBuf::new();
-        core.on_events(
-            &routing,
-            &mut protocol,
-            [Event::FrameArrived {
-                frame: ingress_frame(&graph, 0, g(0)),
-            }],
-            &mut buf,
-        );
+        let mut feed = |id: u64, buf: &mut CommandBuf| {
+            core.on_event_into(
+                &routing,
+                &mut protocol,
+                Event::FrameArrived {
+                    frame: ingress_frame(&graph, id, g(0)),
+                },
+                &mut NullSink,
+                buf,
+            );
+        };
+        feed(0, &mut buf);
         let first = buf.len();
         assert!(first > 0);
-        core.on_events(
-            &routing,
-            &mut protocol,
-            [Event::FrameArrived {
-                frame: ingress_frame(&graph, 1, g(0)),
-            }],
-            &mut buf,
-        );
-        assert_eq!(buf.len(), 2 * first, "second batch appended");
+        feed(1, &mut buf);
+        assert_eq!(buf.len(), 2 * first, "second call appended");
         buf.clear();
         assert!(buf.is_empty());
     }
 
     #[test]
-    fn offer_batch_matches_per_event_receiver_stepping() {
+    fn reused_buffer_matches_fresh_buffer_per_event_at_the_receiver() {
         let (m, graph) = setup();
         let mut protocol = ProtocolState::new(&graph);
         let mut msgs = Vec::new();
@@ -194,15 +208,17 @@ mod tests {
                 .collect::<Vec<_>>()
         };
 
-        let mut stepped = ReceiverCore::new(n(1), &m, &graph);
+        let mut fresh = ReceiverCore::new(n(1), &m, &graph);
         let mut expected = Vec::new();
         for event in frames(&msgs) {
-            expected.extend(stepped.on_event(event));
+            expected.extend(receiver_commands(&mut fresh, event, &mut NullSink));
         }
 
-        let mut batched = ReceiverCore::new(n(1), &m, &graph);
+        let mut reused = ReceiverCore::new(n(1), &m, &graph);
         let mut buf = CommandBuf::new();
-        batched.offer_batch(frames(&msgs), &mut buf);
+        for event in frames(&msgs) {
+            reused.on_event_into(event, &mut NullSink, &mut buf);
+        }
         let ids = |cmds: &[Command]| {
             cmds.iter()
                 .map(|c| match c {
@@ -215,8 +231,8 @@ mod tests {
         assert_eq!(ids(buf.commands()), vec![0, 1, 2, 3, 4, 5]);
         assert!(buf.msgs.is_empty(), "release scratch restored empty");
         assert_eq!(
-            batched.queue().delivered_count(),
-            stepped.queue().delivered_count()
+            reused.queue().delivered_count(),
+            fresh.queue().delivered_count()
         );
     }
 }

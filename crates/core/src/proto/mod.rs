@@ -20,18 +20,20 @@
 //!   ownership) a core consults per event.
 //! * [`RecoveryStats`] — crash-recovery counters shared by the
 //!   simulator's `FaultStats` and the runtime's `RuntimeStats`.
-//! * [`CommandBuf`] — the caller-owned command buffer behind the batched
-//!   fast path (`NodeCore::on_events`, `ReceiverCore::offer_batch`): a
-//!   batch is semantically a sequence of single events, executed without
-//!   per-message allocations (PROTOCOL.md §12).
+//! * [`CommandBuf`] — the caller-owned command buffer every core call
+//!   appends to (`NodeCore::on_event_into`,
+//!   `ReceiverCore::on_event_into`): a driver loops over a batch with one
+//!   warm buffer, which is semantically a sequence of single events,
+//!   executed without per-message allocations (PROTOCOL.md §12).
 //! * [`Digest`] — platform-stable state digests; every core folds its
 //!   observable state in via `digest_into`, which is how the
 //!   `seqnet-check` model checker deduplicates explored states.
 //! * [`testing`] — seeded configuration and fault-plan generators shared
-//!   by the proptest suites and the checker's random-walk mode.
-//! * [`trace`] — the structured tracing hooks: every core has an
-//!   `on_event_traced` variant taking a `TraceSink`, and `on_event`
-//!   delegates to it with the zero-cost `NullSink`.
+//!   by the proptest suites and the checker's random-walk mode, plus the
+//!   `Vec`-returning single-step helpers they call the cores through.
+//! * [`trace`] — the structured tracing hooks: each core's one entry
+//!   point is generic over a `TraceSink`; the zero-cost `NullSink` (or a
+//!   `None` sink) makes it the untraced call.
 //!
 //! Nothing in here touches clocks, threads, channels, or randomness;
 //! drivers own all of that. The contract each driver must uphold (FIFO

@@ -6,7 +6,7 @@ use super::batch::CommandBuf;
 use super::event::{Command, Event, Frame, Peer};
 use super::routing::Routing;
 use super::stats::RecoveryStats;
-use super::trace::{Actor, EventKind, NullSink, TraceEvent, TraceSink};
+use super::trace::{Actor, EventKind, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 
 /// The protocol logic of one sequencing node, as a pure event-in /
@@ -110,11 +110,6 @@ impl NodeCore {
         &self.stats
     }
 
-    /// Adds driver-measured recovery latency (the core has no clock).
-    pub fn add_recovery_micros(&mut self, micros: u64) {
-        self.stats.recovery_micros += micros;
-    }
-
     /// Seeds the cumulative-ack floor for `peer`, used when the driver
     /// restores a core from a snapshot: the restored core must not re-ack
     /// below what the snapshotted incarnation already advertised.
@@ -122,71 +117,18 @@ impl NodeCore {
         self.floors.insert(peer, floor);
     }
 
-    /// Feeds one event through the state machine; returns the commands the
-    /// driver must execute, in order. `routing` is the driver's current
-    /// routing view and `protocol` the (possibly shared) counter state —
-    /// borrowed per call so the simulator can run every core against one
-    /// global [`ProtocolState`] while runtime threads own theirs.
-    pub fn on_event(
-        &mut self,
-        routing: &Routing<'_>,
-        protocol: &mut ProtocolState,
-        event: Event,
-    ) -> Vec<Command> {
-        self.on_event_traced(routing, protocol, event, &mut NullSink)
-    }
-
-    /// [`NodeCore::on_event`] with protocol tracing: stamps, forwards,
-    /// crashes, and replays are reported to `sink` as they happen. Thin
-    /// wrapper over [`NodeCore::on_event_into`] allocating a fresh buffer
-    /// per call; hot loops should batch via [`NodeCore::on_events`]
-    /// instead.
-    pub fn on_event_traced<S: TraceSink + ?Sized>(
-        &mut self,
-        routing: &Routing<'_>,
-        protocol: &mut ProtocolState,
-        event: Event,
-        sink: &mut S,
-    ) -> Vec<Command> {
-        let mut out = CommandBuf::new();
-        self.on_event_into(routing, protocol, event, sink, &mut out);
-        out.into_commands()
-    }
-
-    /// Batched fast path: feeds every event through the state machine in
-    /// order, appending the emitted commands to the caller-owned `out`.
-    /// Semantically identical to calling [`NodeCore::on_event`] per event
-    /// and concatenating the results (PROTOCOL.md §12) — but scratch
-    /// buffers are reused, so a warm buffer makes the whole batch
-    /// allocation-free apart from the frames themselves.
-    pub fn on_events(
-        &mut self,
-        routing: &Routing<'_>,
-        protocol: &mut ProtocolState,
-        events: impl IntoIterator<Item = Event>,
-        out: &mut CommandBuf,
-    ) {
-        self.on_events_traced(routing, protocol, events, &mut NullSink, out);
-    }
-
-    /// [`NodeCore::on_events`] with protocol tracing.
-    pub fn on_events_traced<S: TraceSink + ?Sized>(
-        &mut self,
-        routing: &Routing<'_>,
-        protocol: &mut ProtocolState,
-        events: impl IntoIterator<Item = Event>,
-        sink: &mut S,
-        out: &mut CommandBuf,
-    ) {
-        for event in events {
-            self.on_event_into(routing, protocol, event, sink, out);
-        }
-    }
-
-    /// The single implementation: feeds one event through the state
-    /// machine, appending the emitted commands to `out`. Every other
-    /// entry point (`on_event`, `on_event_traced`, `on_events`) funnels
-    /// here.
+    /// Feeds one event through the state machine, appending the commands
+    /// the driver must execute, in order, to the caller-owned `out` — the
+    /// one way to call this core. `routing` is the driver's current routing
+    /// view and `protocol` the (possibly shared) counter state — borrowed
+    /// per call so the simulator can run every core against one global
+    /// [`ProtocolState`] while runtime threads own theirs. `sink` receives
+    /// stamps, forwards, crashes and replays as they happen; pass
+    /// [`NullSink`](super::trace::NullSink) (or `None`) for an untraced
+    /// call. Calls **append**: a driver feeding a batch loops over its
+    /// events with one warm buffer, which makes the whole batch
+    /// allocation-free apart from the frames themselves, and is
+    /// observably identical to a fresh buffer per event (PROTOCOL.md §12).
     pub fn on_event_into<S: TraceSink + ?Sized>(
         &mut self,
         routing: &Routing<'_>,
@@ -360,6 +302,8 @@ impl NodeCore {
 
 #[cfg(test)]
 mod tests {
+    use super::super::testing::node_commands;
+    use super::super::trace::NullSink;
     use super::*;
     use crate::{Message, MessageId};
     use seqnet_membership::{GroupId, Membership, NodeId};
@@ -403,7 +347,13 @@ mod tests {
         while let Some(f) = queue.pop() {
             let atom = f.target_atom.expect("node frame");
             let node = routing.owner_of(atom);
-            for cmd in cores[node].on_event(routing, protocol, Event::FrameArrived { frame: f }) {
+            for cmd in node_commands(
+                &mut cores[node],
+                routing,
+                protocol,
+                Event::FrameArrived { frame: f },
+                &mut NullSink,
+            ) {
                 match cmd {
                     Command::Send {
                         to: Peer::Node(_),
@@ -444,7 +394,13 @@ mod tests {
         let mut core = NodeCore::new(node, true);
         let mut frame = publish(0, n(0), g(0));
         frame.target_atom = Some(ingress);
-        let cmds = core.on_event(&routing, &mut protocol, Event::FrameArrived { frame });
+        let cmds = node_commands(
+            &mut core,
+            &routing,
+            &mut protocol,
+            Event::FrameArrived { frame },
+            &mut NullSink,
+        );
         assert!(!cmds.is_empty());
         assert!(
             cmds.iter().all(|c| matches!(c, Command::Stage { .. })),
@@ -461,18 +417,37 @@ mod tests {
         let node = routing.owner_of(ingress);
         let mut core = NodeCore::new(node, false);
 
-        assert!(core.on_event(&routing, &mut protocol, Event::NodeCrashed).is_empty());
+        assert!(node_commands(
+            &mut core,
+            &routing,
+            &mut protocol,
+            Event::NodeCrashed,
+            &mut NullSink
+        )
+        .is_empty());
         assert!(!core.is_accepting());
         for id in 0..3u64 {
             let mut frame = publish(id, n(0), g(0));
             frame.target_atom = Some(ingress);
-            let cmds = core.on_event(&routing, &mut protocol, Event::FrameArrived { frame });
+            let cmds = node_commands(
+                &mut core,
+                &routing,
+                &mut protocol,
+                Event::FrameArrived { frame },
+                &mut NullSink,
+            );
             assert!(cmds.is_empty(), "down node emits nothing");
         }
         assert_eq!(core.recovery_stats().crashes, 1);
         assert_eq!(core.recovery_stats().messages_parked, 3);
 
-        let replays = core.on_event(&routing, &mut protocol, Event::NodeRestarted);
+        let replays = node_commands(
+            &mut core,
+            &routing,
+            &mut protocol,
+            Event::NodeRestarted,
+            &mut NullSink,
+        );
         assert!(core.is_accepting());
         let ids: Vec<u64> = replays
             .iter()
@@ -493,12 +468,14 @@ mod tests {
         let mut core = NodeCore::new(0, true);
         core.restore_floor(Peer::Publisher, 4);
 
-        let cmds = core.on_event(
+        let cmds = node_commands(
+            &mut core,
             &routing,
             &mut protocol,
             Event::SnapshotTaken {
                 rx_next: vec![(Peer::Publisher, 5), (Peer::Node(1), 3)],
             },
+            &mut NullSink,
         );
         assert!(matches!(cmds[0], Command::Flush), "flush precedes acks");
         // Publisher floor 4 == next-1, no new ack; node 1 advances to 2.
@@ -512,12 +489,14 @@ mod tests {
         }
 
         // Same snapshot again: floors unchanged, only the flush remains.
-        let again = core.on_event(
+        let again = node_commands(
+            &mut core,
             &routing,
             &mut protocol,
             Event::SnapshotTaken {
                 rx_next: vec![(Peer::Publisher, 5), (Peer::Node(1), 3)],
             },
+            &mut NullSink,
         );
         assert_eq!(again.len(), 1);
         assert!(matches!(again[0], Command::Flush));
@@ -529,6 +508,13 @@ mod tests {
         let routing = Routing::solo(&m, &graph);
         let mut protocol = ProtocolState::new(&graph);
         let mut core = NodeCore::new(0, false);
-        assert!(core.on_event(&routing, &mut protocol, Event::Tick).is_empty());
+        assert!(node_commands(
+            &mut core,
+            &routing,
+            &mut protocol,
+            Event::Tick,
+            &mut NullSink
+        )
+        .is_empty());
     }
 }

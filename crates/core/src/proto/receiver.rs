@@ -1,6 +1,6 @@
 //! The receiver-side delivery queue (Definition 1, operationalized).
 
-use super::trace::{self, Actor, BufferReason, EventKind, NullSink, TraceEvent, TraceSink};
+use super::trace::{self, Actor, BufferReason, EventKind, TraceEvent, TraceSink};
 use crate::{Message, SeqNo};
 use seqnet_membership::{GroupId, NodeId};
 use seqnet_overlap::{AtomId, SequencingGraph};
@@ -436,81 +436,33 @@ impl ReceiverCore {
         self.queue.digest_into(d);
     }
 
-    /// Feeds one event through the receiver; returns the commands the
-    /// driver must execute, in order. Only
+    /// Feeds one event through the receiver, appending one
+    /// [`Command::Deliver`](super::Command) per released message, in
+    /// final delivery order, to the caller-owned `out` — the one way to
+    /// call this core, shaped like
+    /// [`NodeCore::on_event_into`](super::NodeCore::on_event_into). Only
     /// [`Event::FrameArrived`](super::Event::FrameArrived) (with a
     /// distribution frame, i.e. no target atom) produces output; hosts
     /// never crash, so the remaining events are accepted as no-ops.
+    /// `sink` receives arrivals, buffer decisions (with the failed
+    /// continuity check as the reason) and deliveries (with the full
+    /// sequence vector). Calls **append**; with a warm buffer the call
+    /// allocates nothing apart from the messages themselves.
     ///
     /// # Panics
     ///
     /// Panics if a frame still carries a `target_atom` (it was routed to a
-    /// host by mistake), or on the [`DeliveryQueue::offer`] contract
+    /// host by mistake), or on the [`DeliveryQueue::offer_into`] contract
     /// violations (unsequenced message, non-subscriber).
-    pub fn on_event(&mut self, event: super::Event) -> Vec<super::Command> {
-        self.on_event_traced(event, &mut NullSink)
-    }
-
-    /// [`ReceiverCore::on_event`] with protocol tracing: arrivals,
-    /// buffer decisions (with the failed continuity check as the
-    /// reason), and deliveries (with the full sequence vector) are
-    /// reported to `sink`. Thin wrapper over the batched implementation
-    /// allocating a fresh buffer per call; hot loops should batch via
-    /// [`ReceiverCore::offer_batch`] instead.
-    pub fn on_event_traced<S: TraceSink + ?Sized>(
+    pub fn on_event_into<S: TraceSink + ?Sized>(
         &mut self,
         event: super::Event,
         sink: &mut S,
-    ) -> Vec<super::Command> {
-        match event {
-            super::Event::FrameArrived { frame } => {
-                let mut out = super::CommandBuf::new();
-                self.frame_into(frame, sink, &mut out);
-                out.into_commands()
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// Batched fast path: runs every arrival through the deliver-or-buffer
-    /// rule in order, appending one [`Command::Deliver`](super::Command)
-    /// per released message to the caller-owned `out`. Semantically
-    /// identical to calling [`ReceiverCore::on_event`] per event and
-    /// concatenating the results (PROTOCOL.md §12); non-frame events are
-    /// no-ops exactly as there. Scratch buffers are reused, so a warm
-    /// buffer makes the whole batch allocation-free apart from the
-    /// messages themselves.
-    pub fn offer_batch(
-        &mut self,
-        events: impl IntoIterator<Item = super::Event>,
         out: &mut super::CommandBuf,
     ) {
-        self.offer_batch_traced(events, &mut NullSink, out);
-    }
-
-    /// [`ReceiverCore::offer_batch`] with protocol tracing.
-    pub fn offer_batch_traced<S: TraceSink + ?Sized>(
-        &mut self,
-        events: impl IntoIterator<Item = super::Event>,
-        sink: &mut S,
-        out: &mut super::CommandBuf,
-    ) {
-        for event in events {
-            if let super::Event::FrameArrived { frame } = event {
-                self.frame_into(frame, sink, out);
-            }
-        }
-    }
-
-    /// The single implementation: one distribution frame through the
-    /// queue, deliveries appended to `out`. Every entry point funnels
-    /// here.
-    fn frame_into<S: TraceSink + ?Sized>(
-        &mut self,
-        frame: super::Frame,
-        sink: &mut S,
-        out: &mut super::CommandBuf,
-    ) {
+        let super::Event::FrameArrived { frame } = event else {
+            return;
+        };
         assert!(
             frame.target_atom.is_none(),
             "distribution frames carry no target atom"
@@ -566,6 +518,8 @@ impl ReceiverCore {
 
 #[cfg(test)]
 mod tests {
+    use super::super::testing::receiver_commands;
+    use super::super::trace::NullSink;
     use super::*;
     use crate::{MessageId, ProtocolState};
     use seqnet_membership::Membership;
@@ -832,20 +786,28 @@ mod tests {
         let m1 = seq(&mut state, &graph, 1, 0, 0);
         let m2 = seq(&mut state, &graph, 2, 0, 0);
         // Out-of-order arrival: m2 buffers, then m1 releases both.
-        let held = core.on_event(Event::FrameArrived {
-            frame: Frame {
-                msg: m2,
-                target_atom: None,
+        let held = receiver_commands(
+            &mut core,
+            Event::FrameArrived {
+                frame: Frame {
+                    msg: m2,
+                    target_atom: None,
+                },
             },
-        });
+            &mut NullSink,
+        );
         assert!(held.is_empty());
         assert_eq!(core.queue().pending(), 1);
-        let released = core.on_event(Event::FrameArrived {
-            frame: Frame {
-                msg: m1,
-                target_atom: None,
+        let released = receiver_commands(
+            &mut core,
+            Event::FrameArrived {
+                frame: Frame {
+                    msg: m1,
+                    target_atom: None,
+                },
             },
-        });
+            &mut NullSink,
+        );
         let ids: Vec<u64> = released
             .iter()
             .map(|c| match c {
@@ -857,6 +819,9 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, vec![1, 2]);
-        assert!(core.on_event(Event::Tick).is_empty(), "non-frame events no-op");
+        assert!(
+            receiver_commands(&mut core, Event::Tick, &mut NullSink).is_empty(),
+            "non-frame events no-op"
+        );
     }
 }

@@ -18,7 +18,7 @@ enum OwnerMap<'a> {
 }
 
 /// A borrowed, immutable view of the deployment's routing facts, passed to
-/// [`NodeCore::on_event`](crate::proto::NodeCore::on_event) on every call.
+/// [`NodeCore::on_event_into`](crate::proto::NodeCore::on_event_into) on every call.
 /// Building one is free; drivers construct it from the membership, graph,
 /// and atom-placement state they already own, so the core never holds (or
 /// clones) routing state that the driver might reconfigure.

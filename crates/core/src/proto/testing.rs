@@ -1,4 +1,5 @@
-//! Seeded generators for randomized protocol testing.
+//! Seeded generators for randomized protocol testing, plus the
+//! `Vec`-returning single-step helpers tests and the checker use.
 //!
 //! Shared by the proptest suites (which wrap these behind `Strategy`
 //! adapters in `tests/strategies.rs`) and by `seqnet-check`'s random-walk
@@ -7,8 +8,38 @@
 //! no thread-local RNG, no environment — so any failure reported against
 //! a seed reproduces exactly.
 
+use super::trace::TraceSink;
+use super::{Command, CommandBuf, Event, NodeCore, ProtocolState, ReceiverCore, Routing};
 use seqnet_membership::{GroupId, Membership, NodeId};
 use seqnet_sim::{FaultPlan, SimTime};
+
+/// One event through a node core with a fresh buffer, commands returned
+/// by value — the allocating convenience tests and the model checker step
+/// with (pass [`NullSink`](super::trace::NullSink) for an untraced step).
+/// Drivers call [`NodeCore::on_event_into`] against a buffer they keep.
+pub fn node_commands<S: TraceSink + ?Sized>(
+    core: &mut NodeCore,
+    routing: &Routing<'_>,
+    protocol: &mut ProtocolState,
+    event: Event,
+    sink: &mut S,
+) -> Vec<Command> {
+    let mut out = CommandBuf::new();
+    core.on_event_into(routing, protocol, event, sink, &mut out);
+    out.into_commands()
+}
+
+/// One event through a receiver core with a fresh buffer; the receiver
+/// twin of [`node_commands`].
+pub fn receiver_commands<S: TraceSink + ?Sized>(
+    receiver: &mut ReceiverCore,
+    event: Event,
+    sink: &mut S,
+) -> Vec<Command> {
+    let mut out = CommandBuf::new();
+    receiver.on_event_into(event, sink, &mut out);
+    out.into_commands()
+}
 
 /// The splitmix64 step, the same tiny generator `FaultPlan::randomized`
 /// uses, so the testing module needs no external RNG dependency.

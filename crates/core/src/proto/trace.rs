@@ -94,6 +94,34 @@ mod mirror {
         fn record(&mut self, event: TraceEvent);
     }
 
+    impl<S: TraceSink + ?Sized> TraceSink for &mut S {
+        fn enabled(&self) -> bool {
+            (**self).enabled()
+        }
+        fn now(&mut self, at: u64) {
+            (**self).now(at);
+        }
+        fn record(&mut self, event: TraceEvent) {
+            (**self).record(event);
+        }
+    }
+
+    impl<S: TraceSink> TraceSink for Option<S> {
+        fn enabled(&self) -> bool {
+            self.as_ref().is_some_and(TraceSink::enabled)
+        }
+        fn now(&mut self, at: u64) {
+            if let Some(sink) = self {
+                sink.now(at);
+            }
+        }
+        fn record(&mut self, event: TraceEvent) {
+            if let Some(sink) = self {
+                sink.record(event);
+            }
+        }
+    }
+
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct NullSink;
 

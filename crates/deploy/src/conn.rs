@@ -10,7 +10,10 @@
 //! resynchronized — and the dialing side falls back to [`Dialer`], which
 //! retries with capped exponential backoff.
 
+use crate::topo::Proc;
 use crate::wire::{encode, CodecError, FrameBuffer, WireMsg};
+use seqnet_runtime::Transmission;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -92,29 +95,18 @@ impl Conn {
         self.out.len() - self.out_at
     }
 
-    /// Drains readable bytes and returns every complete message. A close
-    /// racing with final messages (a peer that replies and exits — its
-    /// data and FIN can land in one poll) delivers those messages first
-    /// and surfaces [`ConnError::Closed`] on the next call.
+    /// Drains readable bytes and appends every complete message to the
+    /// caller-owned `msgs` (the poll loops reuse one `Vec` across
+    /// iterations so a quiet poll allocates nothing); returns how many
+    /// were appended. A close racing with final messages (a peer that
+    /// replies and exits — its data and FIN can land in one poll)
+    /// delivers those messages first and surfaces [`ConnError::Closed`]
+    /// on the next call.
     ///
     /// # Errors
     ///
     /// [`ConnError::Closed`] on EOF or a hard socket error,
-    /// [`ConnError::Quarantined`] on a codec failure.
-    pub fn poll_read(&mut self) -> Result<Vec<WireMsg>, ConnError> {
-        let mut msgs = Vec::new();
-        self.poll_read_into(&mut msgs)?;
-        Ok(msgs)
-    }
-
-    /// Caller-owned-buffer variant of [`poll_read`](Self::poll_read):
-    /// appends decoded messages to `msgs` (the hot-path poll loops reuse
-    /// one `Vec` across iterations so a quiet poll allocates nothing) and
-    /// returns how many were appended.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`poll_read`](Self::poll_read); messages appended
+    /// [`ConnError::Quarantined`] on a codec failure; messages appended
     /// before a codec failure stay in `msgs`.
     pub fn poll_read_into(&mut self, msgs: &mut Vec<WireMsg>) -> Result<usize, ConnError> {
         if self.stalled() {
@@ -228,6 +220,160 @@ impl Dialer {
     }
 }
 
+/// The connections one process keeps to its peer processes — the
+/// coordinator to every node, a node to the coordinator and its neighbour
+/// nodes: the live ones, a [`Dialer`] for each peer this process is
+/// responsible for dialing and currently lacks, and a connection epoch per
+/// peer (bumped on every new connection, gating reconnect replay). One
+/// policy for both kinds of process: a connection that fails a read or a
+/// write is closed and, if ours to dial, redialed.
+#[derive(Debug)]
+pub(crate) struct Peers {
+    /// What this process says first on a connection it dialed.
+    hello: WireMsg,
+    /// The peers this process dials; everyone else dials it.
+    dials: BTreeMap<Proc, SocketAddr>,
+    backoff_cap: Duration,
+    conns: HashMap<Proc, Conn>,
+    dialers: BTreeMap<Proc, Dialer>,
+    epochs: HashMap<Proc, u64>,
+}
+
+/// Delay after a first failed dial; doubles per failure up to the
+/// configured backoff cap.
+const REDIAL_BASE: Duration = Duration::from_millis(5);
+
+/// Bumps and returns `proc`'s connection epoch.
+fn next_epoch(epochs: &mut HashMap<Proc, u64>, proc: Proc) -> u64 {
+    let epoch = epochs.entry(proc).or_insert(0);
+    *epoch += 1;
+    *epoch
+}
+
+impl Peers {
+    /// No connections yet, and a dial in flight to every peer in `dials`.
+    pub(crate) fn new(
+        hello: WireMsg,
+        dials: BTreeMap<Proc, SocketAddr>,
+        backoff_cap: Duration,
+    ) -> Self {
+        let dialers = dials
+            .iter()
+            .map(|(&proc, &addr)| (proc, Dialer::new(addr, REDIAL_BASE, backoff_cap)))
+            .collect();
+        Peers {
+            hello,
+            dials,
+            backoff_cap,
+            conns: HashMap::new(),
+            dialers,
+            epochs: HashMap::new(),
+        }
+    }
+
+    /// Starts dialing `proc`, unless a dial is already in flight or `proc`
+    /// is not this process's to dial.
+    pub(crate) fn redial(&mut self, proc: Proc) {
+        if let Some(&addr) = self.dials.get(&proc) {
+            let cap = self.backoff_cap;
+            self.dialers
+                .entry(proc)
+                .or_insert_with(|| Dialer::new(addr, REDIAL_BASE, cap));
+        }
+    }
+
+    /// Closes the connection to `proc`, if any, and redials.
+    pub(crate) fn drop_conn(&mut self, proc: Proc) {
+        self.conns.remove(&proc);
+        self.redial(proc);
+    }
+
+    /// Registers a fresh connection to `proc` (one that said hello to
+    /// us); returns its epoch.
+    pub(crate) fn connected(&mut self, proc: Proc, conn: Conn) -> u64 {
+        self.conns.insert(proc, conn);
+        next_epoch(&mut self.epochs, proc)
+    }
+
+    /// Completes the dials that are due: says hello on each new
+    /// connection, reports it with its epoch, and registers it.
+    pub(crate) fn poll_dials(&mut self, mut on_connect: impl FnMut(Proc, u64, &mut Conn)) {
+        let Peers {
+            hello,
+            conns,
+            dialers,
+            epochs,
+            ..
+        } = self;
+        dialers.retain(|&proc, dialer| {
+            let Some(mut conn) = dialer.poll().and_then(|stream| Conn::new(stream).ok()) else {
+                return true;
+            };
+            conn.queue(hello);
+            on_connect(proc, next_epoch(epochs, proc), &mut conn);
+            conns.insert(proc, conn);
+            false
+        });
+    }
+
+    /// Replaces `msgs` with what the connection to `proc` has readable. A
+    /// dead or garbled connection yields nothing and is dropped.
+    pub(crate) fn read_into(&mut self, proc: Proc, msgs: &mut Vec<WireMsg>) {
+        msgs.clear();
+        let Some(conn) = self.conns.get_mut(&proc) else {
+            return;
+        };
+        if conn.poll_read_into(msgs).is_err() {
+            msgs.clear();
+            self.drop_conn(proc);
+        }
+    }
+
+    /// The live connection to `proc`, if any.
+    pub(crate) fn conn_mut(&mut self, proc: Proc) -> Option<&mut Conn> {
+        self.conns.get_mut(&proc)
+    }
+
+    /// Queues `msg` on every live connection.
+    pub(crate) fn broadcast(&mut self, msg: &WireMsg) {
+        for conn in self.conns.values_mut() {
+            conn.queue(msg);
+        }
+    }
+
+    /// Queues a link engine's transmission on the connection to its
+    /// addressee's process. No connection: the frame is dropped — the
+    /// link layer's retransmission schedule and reconnect replay recover
+    /// it.
+    pub(crate) fn route(&mut self, t: Transmission) {
+        if let Some(conn) = self.conns.get_mut(&Proc::owner(t.to)) {
+            conn.queue(&WireMsg::Link {
+                link: t.link,
+                seq: t.seq,
+                body: t.body,
+            });
+        }
+    }
+
+    /// Writes every connection's backlog, dropping the ones that fail.
+    pub(crate) fn flush(&mut self) {
+        let dead: Vec<Proc> = self
+            .conns
+            .iter_mut()
+            .filter_map(|(&proc, conn)| conn.poll_write().is_err().then_some(proc))
+            .collect();
+        for proc in dead {
+            self.drop_conn(proc);
+        }
+    }
+
+    /// Closes everything and stops dialing.
+    pub(crate) fn close(&mut self) {
+        self.conns.clear();
+        self.dialers.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,7 +392,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut got = Vec::new();
         while got.len() < want && Instant::now() < deadline {
-            got.extend(conn.poll_read().expect("readable"));
+            conn.poll_read_into(&mut got).expect("readable");
             std::thread::sleep(Duration::from_micros(200));
         }
         got
@@ -289,7 +435,7 @@ mod tests {
         }
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            match b.poll_read() {
+            match b.poll_read_into(&mut Vec::new()) {
                 Err(ConnError::Quarantined(_)) => break,
                 Err(other) => panic!("expected quarantine, got {other}"),
                 Ok(_) if Instant::now() > deadline => panic!("no quarantine"),
@@ -311,8 +457,8 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut got = Vec::new();
         let closed = loop {
-            match b.poll_read() {
-                Ok(msgs) => got.extend(msgs),
+            match b.poll_read_into(&mut got) {
+                Ok(_) => {}
                 Err(ConnError::Closed(_)) => break true,
                 Err(other) => panic!("unexpected: {other}"),
             }

@@ -3,9 +3,10 @@
 //!
 //! [`DeployCluster::start`] reserves one localhost port per sequencing
 //! node, writes the spec file, spawns one real OS process per node, and
-//! dials each of them. The coordinator terminates every
-//! publisher-and-host end of the link table in a single [`WireEngine`]
-//! (immediate acks — the coordinator never crashes) and runs the
+//! dials each of them. The coordinator terminates the publisher end and
+//! every host end of the link table, one [`LinkEngine`] per party exactly
+//! as the threaded runtime's publisher front-end and host threads do
+//! (immediate acks — the coordinator never crashes), and runs the
 //! unchanged [`ReceiverCore`] per subscriber host, so delivery order is
 //! produced by exactly the protocol code the simulator and the threaded
 //! runtime execute. Chaos is real: [`DeployCluster::kill_node`] SIGKILLs
@@ -14,20 +15,18 @@
 //! it.
 
 use crate::chaos::{ChaosKind, ChaosPlan};
-use crate::conn::{Conn, Dialer};
-use crate::engine::WireEngine;
+use crate::conn::Peers;
 use crate::node::unix_micros;
 use crate::spec::ClusterSpec;
 use crate::topo::{Proc, Topology};
-use crate::wire::{NodeTelemetry, NodeWireStats, WireMsg};
-use seqnet_core::proto::trace::{Actor, EventKind, TraceEvent, TraceSink};
+use crate::wire::{NodeTelemetry, NodeWireStats, WireBody, WireMsg};
+use seqnet_core::proto::trace::{TraceEvent, TraceSink};
 use seqnet_core::proto::{Command, CommandBuf, Event, Frame, Peer, ReceiverCore, RecoveryStats};
 use seqnet_core::{Message, MessageId};
 use seqnet_membership::{GroupId, Membership, NodeId};
 use seqnet_obs::{prom, Recorder, Registry};
-use seqnet_runtime::{ClusterConfig, RuntimeError};
+use seqnet_runtime::{ClusterConfig, LinkEngine, PublishFront, RuntimeError};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command as ProcessCommand, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,26 +76,24 @@ pub struct DeployCluster {
     binary: PathBuf,
     children: HashMap<usize, Child>,
     incarnations: Vec<u64>,
-    conns: HashMap<usize, Conn>,
-    dialers: HashMap<usize, Dialer>,
-    epochs: HashMap<usize, u64>,
-    engine: WireEngine,
-    receivers: HashMap<NodeId, ReceiverCore>,
+    /// The connections to the node processes; the coordinator dials them
+    /// all.
+    net: Peers,
+    /// The publisher's end of the publisher→ingress links.
+    publisher: LinkEngine,
+    hosts: HashMap<NodeId, HostEnd>,
+    /// Scratch reused across pump rounds, so a quiet round allocates
+    /// nothing: released frames, core commands, decoded messages.
+    frames: Vec<Frame>,
     cmdbuf: CommandBuf,
+    msgs: Vec<WireMsg>,
     deliveries: VecDeque<(NodeId, Message)>,
     node_stats: HashMap<usize, NodeWireStats>,
-    next_id: u64,
     crashes: u64,
     shut_down: bool,
-    /// A staged online reconfiguration (see
-    /// [`DeployCluster::begin_reconfigure`]): publishes accepted while it
-    /// is pending park here until the current epoch drains.
-    pending: Option<PendingReconfig>,
-    /// Total deliveries owed by everything published so far; the handoff
-    /// drains until `deliveries_seen` catches up.
-    expected_deliveries: usize,
-    /// Deliveries produced by the receiver cores so far, across epochs.
-    deliveries_seen: usize,
+    /// Ids, the staged reconfiguration with its parked publishes, and the
+    /// delivery ledger; carried across every process-tree rebuild.
+    front: PublishFront,
     /// Counters accumulated by earlier epochs' deployments, folded into
     /// [`DeployCluster::stats`].
     prior_stats: DeployStats,
@@ -111,22 +108,22 @@ pub struct DeployCluster {
     telemetry: HashMap<usize, NodeTelemetry>,
     /// When the last `TelemetryRequest` round was broadcast.
     last_telemetry_poll: Instant,
-    /// Publishes accepted in steady state.
-    publishes_steady: u64,
-    /// Publishes parked behind a staged reconfiguration.
-    publishes_parked: u64,
 }
 
-/// A reconfiguration staged by [`DeployCluster::begin_reconfigure`]: the
-/// next membership plus every publish parked behind the handoff.
+/// A subscriber host inside the coordinator: its end of the node→host
+/// links plus its delivery queue.
 #[derive(Debug)]
-struct PendingReconfig {
-    membership: Membership,
-    parked: Vec<(MessageId, NodeId, GroupId, bytes::Bytes)>,
+struct HostEnd {
+    engine: LinkEngine,
+    receiver: ReceiverCore,
 }
 
-fn node_addr(spec: &ClusterSpec, node: usize) -> SocketAddr {
-    SocketAddr::from(([127, 0, 0, 1], spec.ports[node]))
+/// Advances the coordinator's trace clock to the shared UNIX-epoch
+/// timebase; reads no clock when untraced.
+fn stamp(trace: &mut Option<Recorder>) {
+    if let Some(rec) = trace {
+        rec.now(unix_micros());
+    }
 }
 
 /// Picks the binary that hosts the `cluster-node` entry point: an explicit
@@ -216,54 +213,48 @@ impl DeployCluster {
             .map_err(|e| format!("write {}: {e}", spec_path.display()))?;
 
         let mut cluster = DeployCluster {
-            engine: WireEngine::new(
-                Peer::Publisher,
-                config.seed ^ 0x517c_c1b7_2722_0a95,
-                false,
-                config.retransmit_timeout,
-                config.backoff_cap,
-                config.coalesce,
-                config.drop_probability,
-            ),
-            receivers: membership
+            publisher: LinkEngine::new(Peer::Publisher, false, &config),
+            hosts: membership
                 .nodes()
-                .map(|h| (h, ReceiverCore::new(h, membership, &topo.graph)))
+                .map(|h| {
+                    let end = HostEnd {
+                        engine: LinkEngine::new(Peer::Host(h), false, &config),
+                        receiver: ReceiverCore::new(h, membership, &topo.graph),
+                    };
+                    (h, end)
+                })
                 .collect(),
             incarnations: vec![0; topo.num_nodes],
             children: HashMap::new(),
-            conns: HashMap::new(),
-            dialers: HashMap::new(),
-            epochs: HashMap::new(),
+            net: Peers::new(
+                WireMsg::Hello {
+                    party: Peer::Publisher,
+                    incarnation: 0,
+                },
+                (0..topo.num_nodes)
+                    .map(|idx| (Proc::Node(idx), spec.node_addr(idx)))
+                    .collect(),
+                config.backoff_cap,
+            ),
+            frames: Vec::new(),
             cmdbuf: CommandBuf::new(),
+            msgs: Vec::new(),
             deliveries: VecDeque::new(),
             node_stats: HashMap::new(),
-            next_id: 0,
             crashes: 0,
             shut_down: false,
-            pending: None,
-            expected_deliveries: 0,
-            deliveries_seen: 0,
+            front: PublishFront::new(),
             prior_stats: DeployStats::default(),
             trace: config.trace.then(Recorder::new),
             prior_trace: Vec::new(),
             telemetry: HashMap::new(),
             last_telemetry_poll: Instant::now(),
-            publishes_steady: 0,
-            publishes_parked: 0,
             binary,
             spec,
             topo,
         };
         for idx in 0..cluster.topo.num_nodes {
             cluster.spawn_child(idx)?;
-            cluster.dialers.insert(
-                idx,
-                Dialer::new(
-                    node_addr(&cluster.spec, idx),
-                    Duration::from_millis(5),
-                    cluster.spec.config.backoff_cap,
-                ),
-            );
         }
         Ok(cluster)
     }
@@ -285,57 +276,26 @@ impl DeployCluster {
         Ok(())
     }
 
-    fn redial(&mut self, idx: usize) {
-        self.dialers.entry(idx).or_insert_with(|| {
-            Dialer::new(
-                node_addr(&self.spec, idx),
-                Duration::from_millis(5),
-                self.spec.config.backoff_cap,
-            )
-        });
-    }
-
     /// One poll round: dial, read, process, retransmit, write. Called
     /// from every front-end entry point; the coordinator has no thread of
     /// its own.
     fn pump(&mut self) {
         // Establish due connections.
-        let due: Vec<usize> = self.dialers.keys().copied().collect();
-        for idx in due {
-            let Some(stream) = self.dialers.get_mut(&idx).and_then(Dialer::poll) else {
-                continue;
-            };
-            let Ok(mut conn) = Conn::new(stream) else {
-                continue;
-            };
-            conn.queue(&WireMsg::Hello {
-                party: Peer::Publisher,
-                incarnation: 0,
-            });
+        let (topo, publisher) = (&self.topo, &mut self.publisher);
+        self.net.poll_dials(|proc, epoch, conn| {
             // Prime the live-telemetry plane right away — a short-lived
             // run would otherwise end before the first periodic poll.
             conn.queue(&WireMsg::TelemetryRequest);
-            self.dialers.remove(&idx);
-            self.conns.insert(idx, conn);
-            let epoch = self.epochs.entry(idx).or_insert(0);
-            *epoch += 1;
-            let epoch = *epoch;
-            self.engine
-                .reconnect_replay_to(&self.topo, Proc::Node(idx), epoch);
-        }
+            // Only the publisher end sends data, so only it has anything
+            // to replay.
+            publisher.reconnect_replay_to(topo, epoch, |to| Proc::owner(to) == proc);
+        });
 
         // Drain every connection.
-        let ids: Vec<usize> = self.conns.keys().copied().collect();
-        for idx in ids {
-            let msgs = match self.conns.get_mut(&idx).expect("conn exists").poll_read() {
-                Ok(msgs) => msgs,
-                Err(_) => {
-                    self.conns.remove(&idx);
-                    self.redial(idx);
-                    continue;
-                }
-            };
-            for msg in msgs {
+        for idx in 0..self.topo.num_nodes {
+            let mut msgs = std::mem::take(&mut self.msgs);
+            self.net.read_into(Proc::Node(idx), &mut msgs);
+            for msg in msgs.drain(..) {
                 match msg {
                     WireMsg::Hello { .. } | WireMsg::Shutdown | WireMsg::TelemetryRequest => {}
                     WireMsg::Stats(stats) => {
@@ -344,146 +304,101 @@ impl DeployCluster {
                     WireMsg::Telemetry(telemetry) => {
                         self.telemetry.insert(idx, telemetry);
                     }
-                    WireMsg::Link { link, seq, body } => {
-                        let frames = self.engine.on_link(&self.topo, link, seq, body);
-                        if frames.is_empty() {
-                            continue;
-                        }
-                        let Peer::Host(host) = self.topo.links[link as usize].1 else {
-                            // In-order data can only arrive on node→host
-                            // links; anything else has no receiving core.
-                            continue;
-                        };
-                        let receiver = self.receivers.get_mut(&host).expect("host receiver");
-                        let events = frames
-                            .into_iter()
-                            .map(|data| Event::FrameArrived { frame: data });
-                        self.cmdbuf.clear();
-                        if let Some(rec) = &mut self.trace {
-                            rec.now(unix_micros());
-                            receiver.offer_batch_traced(events, rec, &mut self.cmdbuf);
-                        } else {
-                            receiver.offer_batch(events, &mut self.cmdbuf);
-                        }
-                        for cmd in self.cmdbuf.drain() {
-                            match cmd {
-                                Command::Deliver { host, msg } => {
-                                    self.deliveries_seen += 1;
-                                    self.deliveries.push_back((host, msg));
-                                }
-                                other => unreachable!("receivers only deliver: {other:?}"),
-                            }
-                        }
-                    }
+                    WireMsg::Link { link, seq, body } => self.on_link(link, seq, body),
                 }
             }
+            self.msgs = msgs;
         }
 
         // Periodically ask every connected node for a live counter
         // snapshot; replies land in `telemetry` on a later pump round.
         if self.last_telemetry_poll.elapsed() >= TELEMETRY_INTERVAL {
             self.last_telemetry_poll = Instant::now();
-            for conn in self.conns.values_mut() {
-                conn.queue(&WireMsg::TelemetryRequest);
-            }
+            self.net.broadcast(&WireMsg::TelemetryRequest);
         }
 
-        self.engine.retransmit_due(&self.topo);
-        for (to, msg) in self.engine.take_out() {
-            let Proc::Node(idx) = Topology::owner(to) else {
-                unreachable!("coordinator transmissions target node processes");
-            };
-            if let Some(conn) = self.conns.get_mut(&idx) {
-                conn.queue(&msg);
-            }
-            // No connection: drop. The link layer's retransmission
-            // schedule and reconnect replay recover the frame.
+        // Route every party's outbox.
+        self.publisher.retransmit_due(&self.topo);
+        let net = &mut self.net;
+        self.publisher.drain_outbox().for_each(|t| net.route(t));
+        for host in self.hosts.values_mut() {
+            host.engine.drain_outbox().for_each(|t| net.route(t));
         }
-        let ids: Vec<usize> = self.conns.keys().copied().collect();
-        for idx in ids {
-            if self
-                .conns
-                .get_mut(&idx)
-                .expect("conn exists")
-                .poll_write()
-                .is_err()
-            {
-                self.conns.remove(&idx);
-                self.redial(idx);
+        net.flush();
+    }
+
+    /// One link frame off a connection, handed to the party it addresses:
+    /// acks to the publisher end, data to a host end and on through that
+    /// host's receiver core. A frame on an unknown link, or addressed to
+    /// a party that does not live here, is discarded.
+    fn on_link(&mut self, link: u32, seq: u64, body: WireBody) {
+        match body.endpoints(&self.topo, link) {
+            Some((_, Peer::Publisher)) => {
+                self.publisher
+                    .on_link(&self.topo, link, seq, body, &mut self.frames);
+                self.frames.clear();
             }
+            Some((_, Peer::Host(h))) => {
+                let Some(host) = self.hosts.get_mut(&h) else {
+                    return;
+                };
+                if host
+                    .engine
+                    .on_link(&self.topo, link, seq, body, &mut self.frames)
+                    == 0
+                {
+                    return;
+                }
+                stamp(&mut self.trace);
+                for frame in self.frames.drain(..) {
+                    host.receiver.on_event_into(
+                        Event::FrameArrived { frame },
+                        &mut self.trace,
+                        &mut self.cmdbuf,
+                    );
+                }
+                for cmd in self.cmdbuf.drain() {
+                    match cmd {
+                        Command::Deliver { host, msg } => {
+                            self.front.note_delivery();
+                            self.deliveries.push_back((host, msg));
+                        }
+                        other => unreachable!("receivers only deliver: {other:?}"),
+                    }
+                }
+            }
+            Some((_, Peer::Node(_))) | None => {}
         }
     }
 
     /// Publishes a message to `group`'s ingress sequencing node over the
     /// reliable publisher link, exactly as the threaded runtime does.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::UnknownGroup`] for groups with no members.
     /// While a reconfiguration is staged (between
     /// [`begin_reconfigure`](Self::begin_reconfigure) and
     /// [`complete_reconfigure`](Self::complete_reconfigure)) the publish
     /// is validated against the *next* membership and parked until the
     /// current epoch drains, exactly like the threaded runtime.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::UnknownGroup`] for groups with no members.
     pub fn publish(
         &mut self,
         sender: NodeId,
         group: GroupId,
         payload: impl Into<bytes::Bytes>,
     ) -> Result<MessageId, RuntimeError> {
-        let payload = payload.into();
-        if let Some(pending) = &mut self.pending {
-            if pending.membership.group_size(group) == 0 {
-                return Err(RuntimeError::UnknownGroup(group));
-            }
-            let id = MessageId(self.next_id);
-            self.next_id += 1;
-            self.publishes_parked += 1;
-            pending.parked.push((id, sender, group, payload));
-            return Ok(id);
-        }
-        let id = MessageId(self.next_id);
-        self.next_id += 1;
-        self.publishes_steady += 1;
-        self.publish_now(id, sender, group, payload)?;
-        Ok(id)
-    }
-
-    /// Injects an already-identified message into the running deployment:
-    /// the body of [`publish`](Self::publish), also used to replay parked
-    /// publishes into the next epoch after a handoff.
-    fn publish_now(
-        &mut self,
-        id: MessageId,
-        sender: NodeId,
-        group: GroupId,
-        payload: bytes::Bytes,
-    ) -> Result<(), RuntimeError> {
-        let Some(ingress) = self.topo.graph.ingress(group) else {
-            return Err(RuntimeError::UnknownGroup(group));
-        };
-        self.expected_deliveries += self.spec.membership.group_size(group);
-        let msg = Message::new(id, sender, group, payload);
-        let node = self.topo.atom_node[&ingress];
-        if let Some(rec) = &mut self.trace {
-            rec.now(unix_micros());
-            rec.record(TraceEvent {
-                msg: Some(id.0),
-                group: Some(u64::from(group.0)),
-                detail: Some(u64::from(sender.0)),
-                ..TraceEvent::new(EventKind::Publish, Actor::Publisher)
-            });
-        }
-        self.engine.send_data(
+        stamp(&mut self.trace);
+        let id = self.front.publish(
             &self.topo,
-            Peer::Node(node),
-            Frame {
-                msg,
-                target_atom: Some(ingress),
-            },
-        );
+            &mut self.publisher,
+            &mut self.trace,
+            sender,
+            group,
+            payload.into(),
+        )?;
         self.pump();
-        Ok(())
+        Ok(id)
     }
 
     /// The configuration epoch this deployment is currently running.
@@ -493,12 +408,12 @@ impl DeployCluster {
 
     /// Whether a reconfiguration is staged but has not activated yet.
     pub fn reconfig_pending(&self) -> bool {
-        self.pending.is_some()
+        self.front.reconfig_pending()
     }
 
     /// Publishes parked behind the staged reconfiguration.
     pub fn parked_publishes(&self) -> usize {
-        self.pending.as_ref().map_or(0, |p| p.parked.len())
+        self.front.parked_publishes()
     }
 
     /// Stages an online reconfiguration to `membership` without stopping
@@ -509,16 +424,7 @@ impl DeployCluster {
     ///
     /// [`RuntimeError::ReconfigPending`] if one is already staged.
     pub fn begin_reconfigure(&mut self, membership: &Membership) -> Result<u64, RuntimeError> {
-        if self.pending.is_some() {
-            return Err(RuntimeError::ReconfigPending {
-                next_epoch: self.spec.epoch + 1,
-            });
-        }
-        self.pending = Some(PendingReconfig {
-            membership: membership.clone(),
-            parked: Vec::new(),
-        });
-        Ok(self.spec.epoch + 1)
+        self.front.begin_reconfigure(membership, self.spec.epoch)
     }
 
     /// Completes a staged reconfiguration: drains every delivery the
@@ -530,25 +436,24 @@ impl DeployCluster {
     ///
     /// # Errors
     ///
-    /// Returns a description of the failure. A drain timeout leaves the
-    /// reconfiguration pending, so the caller can respawn a crashed node
-    /// and retry.
-    pub fn complete_reconfigure(&mut self, timeout: Duration) -> Result<u64, String> {
-        if self.pending.is_none() {
-            return Err("no reconfiguration pending".into());
+    /// [`RuntimeError::NoPendingReconfig`] if nothing is staged;
+    /// [`RuntimeError::Timeout`] if the old epoch fails to drain in time —
+    /// the reconfiguration stays pending, so the caller can respawn a
+    /// crashed node and retry; [`RuntimeError::Spawn`] if the next
+    /// process tree cannot be started.
+    pub fn complete_reconfigure(&mut self, timeout: Duration) -> Result<u64, RuntimeError> {
+        if !self.front.reconfig_pending() {
+            return Err(RuntimeError::NoPendingReconfig);
         }
         let deadline = Instant::now() + timeout;
-        while self.deliveries_seen < self.expected_deliveries {
+        while !self.front.drained() {
             if Instant::now() >= deadline {
-                return Err(format!(
-                    "handoff drain timed out with {}/{} deliveries",
-                    self.deliveries_seen, self.expected_deliveries
-                ));
+                return Err(self.front.drain_timeout());
             }
             self.pump();
             std::thread::sleep(Duration::from_micros(200));
         }
-        let pending = self.pending.take().expect("pending reconfiguration checked");
+        let pending = self.front.take_pending().expect("checked above");
         let next_epoch = self.spec.epoch + 1;
         let carried = std::mem::take(&mut self.deliveries);
         let prior_trace = self.trace_events();
@@ -559,26 +464,21 @@ impl DeployCluster {
             self.spec.config.clone(),
             Some(self.binary.clone()),
             next_epoch,
-        )?;
-        next.next_id = self.next_id;
-        next.expected_deliveries = self.expected_deliveries;
-        next.deliveries_seen = self.deliveries_seen;
+        )
+        .map_err(RuntimeError::Spawn)?;
+        next.front = std::mem::take(&mut self.front);
         next.deliveries = carried;
         next.prior_stats = prior;
         next.prior_trace = prior_trace;
-        next.publishes_steady = self.publishes_steady;
-        next.publishes_parked = self.publishes_parked;
-        if let Some(rec) = &mut next.trace {
-            rec.now(unix_micros());
-            rec.record(TraceEvent {
-                detail: Some(next_epoch),
-                ..TraceEvent::new(EventKind::EpochAdvance, Actor::Publisher)
-            });
-        }
-        for (id, sender, group, payload) in pending.parked {
-            next.publish_now(id, sender, group, payload)
-                .map_err(|e| format!("inject parked publish: {e}"))?;
-        }
+        stamp(&mut next.trace);
+        next.front.activate(
+            next_epoch,
+            &next.topo,
+            &mut next.publisher,
+            &mut next.trace,
+            pending.parked,
+        );
+        next.pump();
         *self = next;
         Ok(next_epoch)
     }
@@ -610,21 +510,9 @@ impl DeployCluster {
         expected: usize,
         timeout: Duration,
     ) -> Result<BTreeMap<NodeId, Vec<Message>>, RuntimeError> {
-        let deadline = Instant::now() + timeout;
-        let mut out: BTreeMap<NodeId, Vec<Message>> = BTreeMap::new();
-        let mut received = 0usize;
-        while received < expected {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(RuntimeError::Timeout { expected, received });
-            }
-            if let Some((host, msg)) = self.next_delivery(remaining.min(Duration::from_millis(5)))
-            {
-                out.entry(host).or_default().push(msg);
-                received += 1;
-            }
-        }
-        Ok(out)
+        PublishFront::collect_deliveries(expected, timeout, |remaining| {
+            self.next_delivery(remaining)
+        })
     }
 
     /// SIGKILLs sequencing node `node` — a real `kill -9`, no shutdown
@@ -644,8 +532,7 @@ impl DeployCluster {
         self.crashes += 1;
         // Our side of the connection dies with the peer; close it now and
         // start redialing for the respawn.
-        self.conns.remove(&node);
-        self.redial(node);
+        self.net.drop_conn(Proc::Node(node));
         true
     }
 
@@ -667,21 +554,20 @@ impl DeployCluster {
         }
         self.incarnations[node] += 1;
         self.spawn_child(node)?;
-        self.redial(node);
+        self.net.redial(Proc::Node(node));
         Ok(true)
     }
 
     /// Severs the coordinator's TCP connection to `node` mid-stream. Both
     /// sides reconnect (capped backoff) and replay unacknowledged frames.
     pub fn drop_conn(&mut self, node: usize) {
-        self.conns.remove(&node);
-        self.redial(node);
+        self.net.drop_conn(Proc::Node(node));
     }
 
     /// Freezes the coordinator↔`node` connection for `window`: the socket
     /// stays open, no bytes move in either direction on our side.
     pub fn stall_link(&mut self, node: usize, window: Duration) {
-        if let Some(conn) = self.conns.get_mut(&node) {
+        if let Some(conn) = self.net.conn_mut(Proc::Node(node)) {
             conn.stalled_until = Some(Instant::now() + window);
         }
     }
@@ -760,7 +646,7 @@ impl DeployCluster {
             self.shut_down = true;
             let running: Vec<usize> = self.children.keys().copied().collect();
             for &idx in &running {
-                if let Some(conn) = self.conns.get_mut(&idx) {
+                if let Some(conn) = self.net.conn_mut(Proc::Node(idx)) {
                     conn.queue(&WireMsg::Shutdown);
                 }
             }
@@ -775,8 +661,7 @@ impl DeployCluster {
                 let _ = child.kill();
                 let _ = child.wait();
             }
-            self.conns.clear();
-            self.dialers.clear();
+            self.net.close();
             // Persist the coordinator's side of the trace next to the
             // node logs, so span reconstruction gets the Publish and
             // Arrive/Buffer/Deliver events only this process saw.
@@ -819,14 +704,18 @@ impl DeployCluster {
     /// deliveries, then per-node liveness with each node's last-reported
     /// incarnation, staged (in-flight) frames, and processed frames.
     pub fn health_line(&self) -> String {
-        let buffered: usize = self.receivers.values().map(|r| r.queue().pending()).sum();
+        let buffered: usize = self
+            .hosts
+            .values()
+            .map(|h| h.receiver.queue().pending())
+            .sum();
         let mut line = format!(
             "epoch={} reconfig_pending={} parked={} buffered={} delivered={}",
             self.spec.epoch,
-            self.pending.is_some(),
+            self.reconfig_pending(),
             self.parked_publishes(),
             buffered,
-            self.deliveries_seen,
+            self.front.deliveries_seen(),
         );
         for idx in 0..self.topo.num_nodes {
             let state = if self.children.contains_key(&idx) {
@@ -846,18 +735,22 @@ impl DeployCluster {
     }
 
     /// Aggregated statistics: counters accumulated by earlier epochs plus
-    /// the coordinator's own engine counters plus every stats reply
+    /// the coordinator's own link-engine counters plus every stats reply
     /// received from node processes. Complete after
     /// [`shutdown`](Self::shutdown).
     pub fn stats(&self) -> DeployStats {
         let mut stats = self.prior_stats.clone();
-        stats.frames_sent += self.engine.stats.frames_sent;
-        stats.frames_dropped += self.engine.stats.frames_dropped;
-        stats.retransmissions += self.engine.stats.retransmissions;
-        stats.duplicates += self.engine.stats.duplicates;
         stats.recovery.crashes += self.crashes;
-        for (&size, &count) in &self.engine.stats.batch_sizes {
-            *stats.batch_sizes.entry(size).or_insert(0) += count;
+        let engines = self.hosts.values().map(|h| &h.engine);
+        for engine in engines.chain(std::iter::once(&self.publisher)) {
+            let links = engine.counters();
+            stats.frames_sent += links.frames_sent;
+            stats.frames_dropped += links.frames_dropped;
+            stats.retransmissions += links.retransmissions;
+            stats.duplicates += links.duplicates;
+            for (&size, &count) in engine.batch_sizes() {
+                *stats.batch_sizes.entry(size).or_insert(0) += count;
+            }
         }
         for node in self.node_stats.values() {
             stats.frames_sent += node.frames_sent;
@@ -907,9 +800,21 @@ impl DeployCluster {
         reg.inc("frames_replayed_total", None, stats.recovery.frames_replayed);
         reg.inc("frames_sent_total", None, stats.frames_sent);
         reg.inc("heartbeat_misses_total", None, stats.heartbeat_misses);
-        reg.inc("publishes_parked_total", None, self.publishes_parked);
-        reg.inc("publishes_steady_total", None, self.publishes_steady);
-        reg.inc("recovery_micros_total", None, stats.recovery.recovery_micros);
+        reg.inc(
+            "publishes_parked_total",
+            None,
+            self.front.publishes_parked(),
+        );
+        reg.inc(
+            "publishes_steady_total",
+            None,
+            self.front.publishes_steady(),
+        );
+        reg.inc(
+            "recovery_micros_total",
+            None,
+            stats.recovery.recovery_micros,
+        );
         reg.inc("retransmissions_total", None, stats.retransmissions);
         reg.inc("snapshots_total", None, stats.snapshots);
         prom::exposition(&reg, "seqnet_deploy", node_or_group_label)
@@ -954,5 +859,81 @@ pub fn node_registry(telemetry: &NodeTelemetry, label: Option<u64>) -> Registry 
 impl Drop for DeployCluster {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use seqnet_core::proto::Frame;
+
+    #[test]
+    fn hostile_link_frames_are_discarded_by_the_coordinator() {
+        let membership = Membership::from_groups([
+            (GroupId(0), vec![NodeId(0), NodeId(1), NodeId(2)]),
+            (GroupId(1), vec![NodeId(1), NodeId(2), NodeId(3)]),
+        ]);
+        // Children that exit at once: this test drives the coordinator's
+        // frame handler directly and needs no node process.
+        let mut cluster = DeployCluster::start_with_binary(
+            &membership,
+            ClusterConfig::default(),
+            Some(PathBuf::from("/bin/true")),
+        )
+        .expect("coordinator starts");
+        for node in 0..cluster.num_sequencing_nodes() {
+            cluster.kill_node(node);
+        }
+
+        let (host_link, host) = cluster
+            .topo
+            .links
+            .iter()
+            .enumerate()
+            .find_map(|(i, &(_, to))| match to {
+                Peer::Host(h) => Some((i as u32, h)),
+                _ => None,
+            })
+            .expect("a node→host link");
+        let publisher_link = cluster
+            .topo
+            .links
+            .iter()
+            .position(|&(from, _)| from == Peer::Publisher)
+            .expect("a publisher link") as u32;
+        let group = cluster
+            .topo
+            .membership
+            .groups_of(host)
+            .next()
+            .expect("hosts subscribe");
+        let sequenced = |id: u64| {
+            let mut msg = Message::new(MessageId(id), host, group, Vec::new());
+            let mut protocol = seqnet_core::ProtocolState::new(&cluster.topo.graph);
+            protocol.sequence_fully(&cluster.topo.graph, &mut msg);
+            Frame {
+                msg,
+                target_atom: None,
+            }
+        };
+        let first = sequenced(1);
+
+        let links = cluster.topo.links.len() as u32;
+        cluster.on_link(links, 1, WireBody::Data(first.clone()));
+        cluster.on_link(u32::MAX, 1, WireBody::DataBatch(vec![first.clone()]));
+        cluster.on_link(u32::MAX, 9, WireBody::AckThrough);
+        // Data against the direction of a publisher link would address a
+        // sequencing node, which does not live in this process.
+        cluster.on_link(publisher_link, 1, WireBody::Data(first.clone()));
+        cluster.on_link(
+            host_link,
+            u64::MAX,
+            WireBody::DataBatch(vec![first.clone(), first.clone()]),
+        );
+        assert!(cluster.deliveries.is_empty(), "nothing was accepted");
+
+        cluster.on_link(host_link, 1, WireBody::Data(first));
+        assert_eq!(cluster.deliveries.len(), 1, "real traffic still flows");
+        assert_eq!(cluster.deliveries[0].0, host);
     }
 }

@@ -18,21 +18,25 @@
 //!
 //! - [`wire`]: length-prefixed frame codec, tolerant of short reads and
 //!   partial writes, rejecting garbage without panicking.
-//! - [`conn`]: non-blocking framed connections and capped-backoff
-//!   redialing.
+//! - [`conn`]: non-blocking framed connections, capped-backoff redialing,
+//!   and the per-process connection table both kinds of process keep.
 //! - [`sys`]: the one `unsafe` corner — `SO_REUSEADDR` listener binding so
 //!   a SIGKILL-respawned node can reclaim its port immediately.
-//! - [`topo`]: the deterministic link table every process re-derives from
+//! - [`topo`]: which process owns which party. The link table itself is
+//!   `seqnet_runtime::Topology`, re-derived by every process from
 //!   `(membership, seed)`; nothing is shipped, everything is recomputed.
 //! - [`spec`]: the plain-text cluster spec handed to child processes.
-//! - [`engine`]: the reliable-link discipline (group-commit staging,
-//!   deferred cumulative acks, reconnect replay) over wire messages.
 //! - [`snapshot`]: atomic on-disk node checkpoints (write-temp-rename).
-//! - [`node`] / [`child`]: the sequencing-node process.
+//! - [`node`] / [`child`]: the sequencing-node process — the socket shell
+//!   around `seqnet_runtime::NodeMachine`.
 //! - [`coord`]: the coordinator — publisher, in-process subscriber hosts,
 //!   chaos controller, stats aggregation.
 //! - [`chaos`]: deterministic process-level fault schedules, convertible
 //!   from the simulator's `FaultPlan` for the oracle.
+//!
+//! The reliable-link discipline itself (group-commit staging, deferred
+//! cumulative acks, reconnect replay) is not here: it is
+//! `seqnet_runtime::LinkEngine`, the one the threaded runtime runs.
 //!
 //! # Example
 //!
@@ -66,7 +70,6 @@ pub mod chaos;
 pub mod child;
 pub mod conn;
 pub mod coord;
-pub mod engine;
 pub mod node;
 pub mod snapshot;
 pub mod spec;

@@ -1,26 +1,26 @@
 //! The sequencing-node child process.
 //!
-//! `run_node` is the entire life of one node process: it re-derives the
-//! topology from the spec, restores its last disk snapshot (if any),
-//! listens for the coordinator and lower-index peers, dials higher-index
-//! peers, and then runs the same group-commit loop as the threaded
-//! runtime's `node_thread` — frames in through [`WireEngine`], events
-//! through the unchanged [`NodeCore`], staged outputs released only after
-//! the snapshot recording them has been renamed into place. SIGKILL can
-//! land anywhere in this loop; correctness rests solely on the snapshot
-//! discipline, never on a clean shutdown path.
+//! `run_node` is the entire life of one node process, and the socket shell
+//! around one [`NodeMachine`]: it re-derives the topology from the spec,
+//! restores its last disk snapshot (if any), listens for the coordinator
+//! and lower-index peers, dials higher-index peers, and then loops —
+//! frames off the connections into the machine, a checkpoint renamed into
+//! place when the machine asks for one, the machine's outbox onto the
+//! connections. Group-commit, failure detection and replay accounting are
+//! the machine's, shared with the threaded runtime's node thread. SIGKILL
+//! can land anywhere in this loop; correctness rests solely on the
+//! snapshot discipline, never on a clean shutdown path.
 
-use crate::conn::{Conn, ConnError, Dialer};
-use crate::engine::WireEngine;
+use crate::conn::{Conn, Peers};
 use crate::snapshot::{snapshot_path, DiskSnapshot};
 use crate::spec::ClusterSpec;
 use crate::topo::{Proc, Topology};
 use crate::wire::{NodeTelemetry, NodeWireStats, WireMsg};
 use seqnet_core::proto::trace::{Actor, EventKind, TraceEvent, TraceSink};
-use seqnet_core::proto::{Command, CommandBuf, Event, NodeCore, Peer, ProtocolState, Routing};
-use std::collections::HashMap;
+use seqnet_core::proto::{Peer, ProtocolState};
+use seqnet_runtime::NodeMachine;
 use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener};
+use std::net::TcpListener;
 use std::path::Path;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -39,18 +39,18 @@ pub(crate) fn unix_micros() -> u64 {
 /// Incremental observability log: one JSONL line per protocol event,
 /// flushed immediately so the record survives a SIGKILL mid-run.
 ///
-/// Doubles as the node's [`TraceSink`]: when the spec enables tracing the
-/// protocol core's message-lifecycle events (`AtomStamp`, `FrameForward`)
-/// stream through [`TraceSink::record`] into the same file the lifecycle
-/// events (`Crash`, `Replay`, `SnapshotFlush`, `HeartbeatMiss`) go to.
-/// Lifecycle events are always written; message events are gated on
-/// `config.trace`. Write failures are never silently ignored — they bump
-/// [`ObsLog::dropped`], which the telemetry reply reports upstream.
+/// This is the node's [`TraceSink`], stamping every event with the wall
+/// clock as it is written. The node machine records its lifecycle events
+/// (`Replay`, `SnapshotFlush`, `HeartbeatMiss`) unconditionally, so those
+/// (and this shell's `Crash`) are always in the file; the protocol core's
+/// per-message events (`AtomStamp`, `FrameForward`) are guarded by
+/// [`TraceSink::enabled`], which reports `config.trace`. Write failures
+/// are never silently ignored — they bump [`ObsLog::dropped`], which the
+/// telemetry reply reports upstream.
 #[derive(Debug)]
 struct ObsLog {
     file: Option<std::fs::File>,
     msg_trace: bool,
-    now: u64,
     dropped: u64,
 }
 
@@ -64,7 +64,6 @@ impl ObsLog {
         ObsLog {
             file,
             msg_trace,
-            now: 0,
             dropped: 0,
         }
     }
@@ -73,29 +72,6 @@ impl ObsLog {
     fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    fn write(&mut self, event: &TraceEvent) {
-        let Some(file) = &mut self.file else {
-            self.dropped += 1;
-            return;
-        };
-        let ok = file
-            .write_all(seqnet_obs::jsonl::to_jsonl(event).as_bytes())
-            .and_then(|()| file.write_all(b"\n"))
-            .and_then(|()| file.flush());
-        if ok.is_err() {
-            self.dropped += 1;
-        }
-    }
-
-    fn record(&mut self, kind: EventKind, actor: Actor, detail: Option<u64>) {
-        let event = TraceEvent {
-            at: unix_micros(),
-            detail,
-            ..TraceEvent::new(kind, actor)
-        };
-        self.write(&event);
-    }
 }
 
 impl TraceSink for ObsLog {
@@ -103,14 +79,19 @@ impl TraceSink for ObsLog {
         self.msg_trace
     }
 
-    fn now(&mut self, at: u64) {
-        self.now = at;
-    }
-
     fn record(&mut self, mut event: TraceEvent) {
-        event.at = self.now;
-        let event = event;
-        self.write(&event);
+        event.at = unix_micros();
+        let Some(file) = &mut self.file else {
+            self.dropped += 1;
+            return;
+        };
+        let ok = file
+            .write_all(seqnet_obs::jsonl::to_jsonl(&event).as_bytes())
+            .and_then(|()| file.write_all(b"\n"))
+            .and_then(|()| file.flush());
+        if ok.is_err() {
+            self.dropped += 1;
+        }
     }
 }
 
@@ -134,8 +115,47 @@ fn bind_with_retry(port: u16) -> io::Result<TcpListener> {
     }
 }
 
-fn peer_addr(spec: &ClusterSpec, node: usize) -> SocketAddr {
-    SocketAddr::from(([127, 0, 0, 1], spec.ports[node]))
+/// What the control messages of one poll round asked for, and over which
+/// connection to answer.
+#[derive(Debug, Default)]
+struct Control {
+    shutdown_via: Option<Proc>,
+    telemetry_via: Option<Proc>,
+}
+
+/// Feeds one wire message to the node machine (or notes a control
+/// request). Link frames are handed over as they came off the wire: the
+/// machine discards what is not addressed to it.
+fn handle_msg(
+    msg: WireMsg,
+    from: Proc,
+    topo: &Topology,
+    node: &mut NodeMachine,
+    obs: &mut ObsLog,
+    control: &mut Control,
+) {
+    match msg {
+        WireMsg::Hello { .. } | WireMsg::Stats(_) | WireMsg::Telemetry(_) => {}
+        WireMsg::Shutdown => control.shutdown_via = Some(from),
+        WireMsg::TelemetryRequest => control.telemetry_via = Some(from),
+        WireMsg::Link { link, seq, body } => node.on_link(topo, link, seq, body, obs),
+    }
+}
+
+/// The node's counters in wire shape, for the telemetry and shutdown
+/// replies; read here, not maintained per frame.
+fn wire_stats(node: &NodeMachine) -> NodeWireStats {
+    let (links, counters) = (node.engine().counters(), node.counters());
+    NodeWireStats {
+        frames_sent: links.frames_sent,
+        retransmissions: links.retransmissions,
+        duplicates: links.duplicates,
+        heartbeat_misses: counters.heartbeat_misses,
+        frames_replayed: counters.frames_replayed,
+        recovery_micros: counters.recovery_micros,
+        snapshots: counters.snapshots,
+        batch_sizes: node.engine().batch_sizes().clone(),
+    }
 }
 
 /// Runs sequencing node `idx` to completion: until a `Shutdown` frame
@@ -143,48 +163,19 @@ fn peer_addr(spec: &ClusterSpec, node: usize) -> SocketAddr {
 ///
 /// # Errors
 ///
-/// Returns the I/O failure that made the node unable to run (listener
-/// bind, snapshot store).
+/// Returns the I/O failure that made the node unable to run: listener
+/// bind, snapshot store, or (`InvalidData`) a snapshot naming links this
+/// node does not terminate.
 pub fn run_node(spec: &ClusterSpec, idx: usize, incarnation: u64) -> io::Result<()> {
     let config = &spec.config;
     let topo = Topology::derive(&spec.membership, config.seed);
-    let mut obs = ObsLog::open(
-        &spec.dir.join(format!("node{idx}.obs.jsonl")),
-        config.trace,
-    );
-    let actor = Actor::Node(idx as u64);
-
-    let mut engine = WireEngine::new(
-        Peer::Node(idx),
-        config.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx as u64 + 1),
-        true,
-        config.retransmit_timeout,
-        config.backoff_cap,
-        config.coalesce,
-        config.drop_probability,
-    );
-    let mut protocol = ProtocolState::new(&topo.graph);
-    // Messages sequenced by this process are stamped with the spec's
-    // configuration epoch.
-    protocol.set_epoch(spec.epoch);
-    // Group-commit mode: the core stages every output frame; this driver
-    // releases them only after a snapshot records them.
-    let mut core = NodeCore::new(idx, true);
-    let mut cmdbuf = CommandBuf::new();
-    let routing = Routing::colocated(&topo.membership, &topo.graph, &topo.atom_node);
-
-    let started = Instant::now();
+    let mut obs = ObsLog::open(&spec.dir.join(format!("node{idx}.obs.jsonl")), config.trace);
     let restarted = incarnation > 0;
-    let mut replaying = restarted;
-    let mut replayed: u64 = 0;
-    let mut heartbeat_misses: u64 = 0;
-    let mut frames_replayed_total: u64 = 0;
-    let mut recovery_micros: u64 = 0;
-    let mut snapshots: u64 = 0;
-    let mut frames_processed: u64 = 0;
+    let mut node = NodeMachine::new(idx, &topo, config, spec.epoch, restarted);
+    let snap_path = snapshot_path(&spec.dir, idx);
 
     if restarted {
-        match DiskSnapshot::load(&snapshot_path(&spec.dir, idx))? {
+        match DiskSnapshot::load(&snap_path)? {
             // A snapshot from another epoch indexes a retired sequencing
             // graph: restoring it would misapply every counter. Nothing
             // of the old epoch is owed by this node (the handoff drained
@@ -192,102 +183,74 @@ pub fn run_node(spec: &ClusterSpec, idx: usize, incarnation: u64) -> io::Result<
             // that crashed mid-reconfiguration recovers fresh into the
             // epoch its spec names.
             Some(snap) if snap.epoch == spec.epoch => {
-                protocol =
+                let mut protocol =
                     ProtocolState::import_counters(&topo.graph, &snap.overlaps, &snap.groups);
                 protocol.set_epoch(spec.epoch);
-                engine.restore_links(&snap.rx_next, &snap.tx);
-                // Seed the core's ack floors to match what the snapshot had
-                // advertised, so the next snapshot only acks real progress.
-                for &(link, next) in &snap.rx_next {
-                    let (from, _to) = topo.links[link as usize];
-                    core.restore_floor(from, next.saturating_sub(1));
-                }
-                obs.record(EventKind::Crash, actor, Some(incarnation));
+                node.restore(&topo, protocol, &snap.links)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                obs.record(TraceEvent {
+                    detail: Some(incarnation),
+                    ..TraceEvent::new(EventKind::Crash, Actor::Node(idx as u64))
+                });
             }
             _ => {}
         }
-        // No snapshot (or a stale-epoch one): nothing this epoch ever
-        // escaped the node (outputs and acks only leave at snapshot
-        // time), so a fresh start is consistent.
     }
 
     let listener = bind_with_retry(spec.ports[idx])?;
-
-    // Dialing rule: node i dials node j iff i < j (ties broken by index so
-    // each process pair has exactly one connection); the coordinator dials
-    // every node. So this node dials its higher-index peers and accepts
-    // everyone else.
-    let mut dialers: HashMap<Proc, Dialer> = HashMap::new();
-    let dial_base = Duration::from_millis(5);
-    for &j in topo.node_peers(idx).iter().filter(|&&j| j > idx) {
-        dialers.insert(
-            Proc::Node(j),
-            Dialer::new(peer_addr(spec, j), dial_base, config.backoff_cap),
-        );
-    }
-    let mut conns: HashMap<Proc, Conn> = HashMap::new();
-    let mut pending: Vec<Conn> = Vec::new();
-    let mut epochs: HashMap<Proc, u64> = HashMap::new();
-
-    let (watched_peers, hb_out) = topo.heartbeat_plan(idx);
-    let mut watched: HashMap<usize, (Instant, bool)> = watched_peers
+    // Every process this node may hold a connection to. Dialing rule:
+    // node i dials node j iff i < j (so each process pair has exactly one
+    // connection) and the coordinator dials every node — so a node dials
+    // its higher-index peers and accepts everyone else.
+    let peers = topo.node_peers(idx);
+    let dials = peers
         .iter()
-        .map(|&p| (p, (Instant::now(), false)))
+        .filter(|&&j| j > idx)
+        .map(|&j| (Proc::Node(j), spec.node_addr(j)))
         .collect();
+    let procs: Vec<Proc> = std::iter::once(Proc::Coordinator)
+        .chain(peers.into_iter().map(Proc::Node))
+        .collect();
+    let hello = WireMsg::Hello {
+        party: Peer::Node(idx),
+        incarnation,
+    };
+    let mut net = Peers::new(hello, dials, config.backoff_cap);
+    // Accepted connections become routable once they say Hello.
+    let mut pending: Vec<Conn> = Vec::new();
+    // Reused across poll iterations so a quiet poll allocates nothing.
+    let mut msgs: Vec<WireMsg> = Vec::new();
 
-    let mut last_snapshot = Instant::now();
-    let mut last_heartbeat = Instant::now();
-    let mut shutdown_via: Option<Proc> = None;
-    let mut telemetry_via: Option<Proc> = None;
-    let mut poll_procs: Vec<Proc> = Vec::new();
-    let mut poll_msgs: Vec<WireMsg> = Vec::new();
-
-    'main: loop {
-        // Accept new connections; they become routable once they say Hello.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => match Conn::new(stream) {
-                    Ok(conn) => pending.push(conn),
-                    Err(_) => continue,
-                },
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+    loop {
+        while let Ok((stream, _)) = listener.accept() {
+            pending.extend(Conn::new(stream));
         }
 
-        // Dial higher-index peers that are due.
-        let due: Vec<Proc> = dialers.keys().copied().collect();
-        for proc in due {
-            let Some(stream) = dialers.get_mut(&proc).and_then(Dialer::poll) else {
-                continue;
-            };
-            let Ok(mut conn) = Conn::new(stream) else {
-                continue;
-            };
-            conn.queue(&WireMsg::Hello {
-                party: Peer::Node(idx),
-                incarnation,
-            });
-            dialers.remove(&proc);
-            conns.insert(proc, conn);
-            let epoch = epochs.entry(proc).or_insert(0);
-            *epoch += 1;
-            engine.reconnect_replay_to(&topo, proc, *epoch);
-        }
+        // A fresh connection is owed, once for its epoch, what the node
+        // still holds for the parties behind it.
+        net.poll_dials(|proc, epoch, _| {
+            node.reconnect_replay_to(&topo, epoch, |to| Proc::owner(to) == proc);
+        });
+
+        let mut control = Control::default();
 
         // Promote pending connections on their Hello; anything else as a
         // first message (or a read error) discards the connection.
-        let mut promoted: Vec<(Proc, Conn, Vec<WireMsg>)> = Vec::new();
         let mut i = 0;
         while i < pending.len() {
-            match pending[i].poll_read() {
-                Ok(msgs) if msgs.is_empty() => i += 1,
-                Ok(mut msgs) => {
+            msgs.clear();
+            match pending[i].poll_read_into(&mut msgs) {
+                Ok(0) => i += 1,
+                Ok(_) => {
                     let conn = pending.swap_remove(i);
-                    if let WireMsg::Hello { party, .. } = msgs[0] {
-                        let proc = Topology::owner(party);
-                        let rest = msgs.split_off(1);
-                        promoted.push((proc, conn, rest));
+                    let mut rest = msgs.drain(..);
+                    if let Some(WireMsg::Hello { party, .. }) = rest.next() {
+                        let proc = Proc::owner(party);
+                        let epoch = net.connected(proc, conn);
+                        node.reconnect_replay_to(&topo, epoch, |to| Proc::owner(to) == proc);
+                        for msg in rest {
+                            handle_msg(msg, proc, &topo, &mut node, &mut obs, &mut control);
+                        }
                     }
                 }
                 Err(_) => {
@@ -295,117 +258,33 @@ pub fn run_node(spec: &ClusterSpec, idx: usize, incarnation: u64) -> io::Result<
                 }
             }
         }
-        for (proc, conn, rest) in promoted {
-            conns.insert(proc, conn);
-            let epoch = epochs.entry(proc).or_insert(0);
-            *epoch += 1;
-            engine.reconnect_replay_to(&topo, proc, *epoch);
-            for msg in rest {
-                handle_msg(
-                    msg,
-                    proc,
-                    &topo,
-                    &mut engine,
-                    &mut core,
-                    &mut protocol,
-                    &routing,
-                    &mut cmdbuf,
-                    &mut obs,
-                    &mut watched,
-                    replaying,
-                    &mut replayed,
-                    &mut frames_processed,
-                    &mut shutdown_via,
-                    &mut telemetry_via,
-                );
-            }
-        }
 
-        // Drain every established connection. The message scratch and the
-        // proc list are reused across poll iterations so a quiet poll
-        // allocates nothing.
-        poll_procs.clear();
-        poll_procs.extend(conns.keys().copied());
-        for &proc in &poll_procs {
-            poll_msgs.clear();
-            match conns
-                .get_mut(&proc)
-                .expect("conn exists")
-                .poll_read_into(&mut poll_msgs)
-            {
-                Ok(_) => {}
-                Err(_) => {
-                    conns.remove(&proc);
-                    if let Proc::Node(j) = proc {
-                        if j > idx {
-                            dialers.insert(
-                                proc,
-                                Dialer::new(peer_addr(spec, j), dial_base, config.backoff_cap),
-                            );
-                        }
-                    }
-                    continue;
-                }
-            }
-            for msg in poll_msgs.drain(..) {
-                handle_msg(
-                    msg,
-                    proc,
-                    &topo,
-                    &mut engine,
-                    &mut core,
-                    &mut protocol,
-                    &routing,
-                    &mut cmdbuf,
-                    &mut obs,
-                    &mut watched,
-                    replaying,
-                    &mut replayed,
-                    &mut frames_processed,
-                    &mut shutdown_via,
-                    &mut telemetry_via,
-                );
+        // Drain every established connection.
+        for &proc in &procs {
+            net.read_into(proc, &mut msgs);
+            for msg in msgs.drain(..) {
+                handle_msg(msg, proc, &topo, &mut node, &mut obs, &mut control);
             }
         }
-        if let Some(via) = telemetry_via.take() {
+        if let Some(via) = control.telemetry_via {
             // A live snapshot of this node's counters, replied over the
-            // control connection that asked. Cheap enough to answer every
-            // poll: all fields are already-maintained counters.
+            // control connection that asked.
             let telemetry = NodeTelemetry {
                 incarnation,
                 epoch: spec.epoch,
-                staged_frames: engine.staged_len() as u64,
-                frames_processed,
+                staged_frames: node.engine().staged_len() as u64,
+                frames_processed: node.counters().frames_processed,
                 obs_dropped: obs.dropped(),
-                stats: NodeWireStats {
-                    frames_sent: engine.stats.frames_sent,
-                    retransmissions: engine.stats.retransmissions,
-                    duplicates: engine.stats.duplicates,
-                    heartbeat_misses,
-                    frames_replayed: frames_replayed_total + replayed,
-                    recovery_micros,
-                    snapshots,
-                    batch_sizes: engine.stats.batch_sizes.clone(),
-                },
+                stats: wire_stats(&node),
             };
-            if let Some(conn) = conns.get_mut(&via) {
+            if let Some(conn) = net.conn_mut(via) {
                 conn.queue(&WireMsg::Telemetry(telemetry));
             }
         }
-        if let Some(via) = shutdown_via {
+        if let Some(via) = control.shutdown_via {
             // Reply with the node's counters, then drain the socket.
-            let stats = NodeWireStats {
-                frames_sent: engine.stats.frames_sent,
-                retransmissions: engine.stats.retransmissions,
-                duplicates: engine.stats.duplicates,
-                heartbeat_misses,
-                frames_replayed: frames_replayed_total + replayed,
-                recovery_micros,
-                snapshots,
-                batch_sizes: engine.stats.batch_sizes.clone(),
-            };
-            if let Some(conn) = conns.get_mut(&via) {
-                conn.queue(&WireMsg::Stats(stats));
+            if let Some(conn) = net.conn_mut(via) {
+                conn.queue(&WireMsg::Stats(wire_stats(&node)));
                 let deadline = Instant::now() + Duration::from_secs(2);
                 while conn.backlog() > 0 && Instant::now() < deadline {
                     if conn.poll_write().is_err() {
@@ -414,168 +293,145 @@ pub fn run_node(spec: &ClusterSpec, idx: usize, incarnation: u64) -> io::Result<
                     std::thread::sleep(Duration::from_micros(200));
                 }
             }
-            break 'main;
+            return Ok(());
         }
 
         let now = Instant::now();
-        if now.duration_since(last_snapshot) >= config.snapshot_interval {
+        node.snapshot(&topo, now, &mut obs, |protocol, link_state| {
+            // The machine releases staged frames and acks only after the
+            // rename below has returned.
             let (overlaps, groups) = protocol.export_counters();
-            let (rx_next, tx) = engine.snapshot_links();
-            let staged_frames = engine.staged_len() as u64;
-            DiskSnapshot {
+            let snap = DiskSnapshot {
                 epoch: spec.epoch,
                 overlaps,
                 groups,
-                rx_next: rx_next.clone(),
-                tx,
-            }
-            .save(&snapshot_path(&spec.dir, idx))?;
-            snapshots += 1;
-            let mut by_peer: Vec<(Peer, u64)> = rx_next
-                .iter()
-                .map(|&(link, next)| (topo.links[link as usize].0, next))
-                .collect();
-            by_peer.sort_unstable();
-            for cmd in core.on_event(
-                &routing,
-                &mut protocol,
-                Event::SnapshotTaken { rx_next: by_peer },
-            ) {
-                match cmd {
-                    Command::Flush => {
-                        obs.record(EventKind::SnapshotFlush, actor, Some(staged_frames));
-                        engine.flush_staged();
-                    }
-                    Command::Ack { to, through } => {
-                        engine.send_ack_through(&topo, to, through);
-                    }
-                    other => unreachable!("snapshots only flush and ack: {other:?}"),
-                }
-            }
-            last_snapshot = now;
-            if replaying && replayed > 0 {
-                // Recovery complete: the replayed input is durable again.
-                replaying = false;
-                frames_replayed_total += replayed;
-                obs.record(EventKind::Replay, actor, Some(replayed));
-                replayed = 0;
-                recovery_micros += started.elapsed().as_micros() as u64;
-            }
+                links: std::mem::take(link_state),
+            };
+            let saved = snap.save(&snap_path);
+            *link_state = snap.links;
+            saved
+        })?;
+        for &peer in node.tick(&topo, now, &mut obs) {
+            // Tear the connection down so reconnect (with its replay)
+            // rather than a half-dead socket carries the recovery.
+            net.drop_conn(Proc::Node(peer));
         }
 
-        if now.duration_since(last_heartbeat) >= config.heartbeat_interval {
-            for &(to, link) in &hb_out {
-                engine.heartbeat(to, link);
-            }
-            last_heartbeat = now;
-        }
-        for (&peer, (seen, suspected)) in watched.iter_mut() {
-            if !*suspected
-                && now.duration_since(*seen)
-                    >= config.heartbeat_interval * config.heartbeat_miss_threshold
-            {
-                *suspected = true;
-                heartbeat_misses += 1;
-                obs.record(EventKind::HeartbeatMiss, actor, Some(peer as u64));
-                // Tear the connection down so reconnect (with its replay)
-                // rather than a half-dead socket carries the recovery.
-                let proc = Proc::Node(peer);
-                if conns.remove(&proc).is_some() && peer > idx {
-                    dialers.insert(
-                        proc,
-                        Dialer::new(peer_addr(spec, peer), dial_base, config.backoff_cap),
-                    );
-                }
-            }
-        }
-
-        engine.retransmit_due(&topo);
-
-        // Route the engine's transmissions onto connections. A missing
-        // connection silently drops the message — the link layer's
-        // retransmission schedule (and reconnect replay) recovers it.
-        for (to, msg) in engine.take_out() {
-            if let Some(conn) = conns.get_mut(&Topology::owner(to)) {
-                conn.queue(&msg);
-            }
-        }
-        let procs: Vec<Proc> = conns.keys().copied().collect();
-        for proc in procs {
-            if conns
-                .get_mut(&proc)
-                .expect("conn exists")
-                .poll_write()
-                .is_err()
-            {
-                conns.remove(&proc);
-                if let Proc::Node(j) = proc {
-                    if j > idx {
-                        dialers.insert(
-                            proc,
-                            Dialer::new(peer_addr(spec, j), dial_base, config.backoff_cap),
-                        );
-                    }
-                }
-            }
-        }
+        node.drain_outbox().for_each(|t| net.route(t));
+        net.flush();
 
         std::thread::sleep(Duration::from_micros(500));
     }
-    Ok(())
 }
 
-/// Feeds one wire message through the link engine and the protocol core.
-#[allow(clippy::too_many_arguments)]
-fn handle_msg(
-    msg: WireMsg,
-    from_proc: Proc,
-    topo: &Topology,
-    engine: &mut WireEngine,
-    core: &mut NodeCore,
-    protocol: &mut ProtocolState,
-    routing: &Routing<'_>,
-    cmdbuf: &mut CommandBuf,
-    obs: &mut ObsLog,
-    watched: &mut HashMap<usize, (Instant, bool)>,
-    replaying: bool,
-    replayed: &mut u64,
-    frames_processed: &mut u64,
-    shutdown_via: &mut Option<Proc>,
-    telemetry_via: &mut Option<Proc>,
-) {
-    match msg {
-        WireMsg::Hello { .. } => {}
-        WireMsg::Stats(_) | WireMsg::Telemetry(_) => {}
-        WireMsg::Shutdown => *shutdown_via = Some(from_proc),
-        WireMsg::TelemetryRequest => *telemetry_via = Some(from_proc),
-        WireMsg::Link { link, seq, body } => {
-            if let Proc::Node(p) = from_proc {
-                if let Some(entry) = watched.get_mut(&p) {
-                    *entry = (Instant::now(), false);
-                }
-            }
-            let frames = engine.on_link(topo, link, seq, body);
-            if frames.is_empty() {
-                return;
-            }
-            if replaying {
-                *replayed += frames.len() as u64;
-            }
-            *frames_processed += frames.len() as u64;
-            let events = frames
-                .into_iter()
-                .map(|data| Event::FrameArrived { frame: data });
-            cmdbuf.clear();
-            obs.now(unix_micros());
-            core.on_events_traced(routing, protocol, events, obs, cmdbuf);
-            for cmd in cmdbuf.drain() {
-                match cmd {
-                    Command::Stage { to, frame } => {
-                        engine.send_data_held(topo, to, frame);
-                    }
-                    other => unreachable!("group-commit frames only stage: {other:?}"),
-                }
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::WireBody;
+    use seqnet_core::proto::Frame;
+    use seqnet_core::{Message, MessageId};
+    use seqnet_membership::{GroupId, Membership, NodeId};
+    use seqnet_runtime::ClusterConfig;
+
+    /// A connected, non-blocking `Conn` pair over loopback.
+    fn conn_pair() -> (Conn, Conn) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let near =
+            std::net::TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (far, _) = listener.accept().expect("accept");
+        (
+            Conn::new(near).expect("conn"),
+            Conn::new(far).expect("conn"),
+        )
+    }
+
+    /// Everything `peer` queued, read off `conn` and fed to the handler.
+    fn pump_into_handler(
+        peer: &mut Conn,
+        conn: &mut Conn,
+        topo: &Topology,
+        node: &mut NodeMachine,
+        obs: &mut ObsLog,
+    ) {
+        let mut control = Control::default();
+        let mut msgs = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while peer.backlog() > 0 || msgs.is_empty() {
+            assert!(Instant::now() < deadline, "loopback stalled");
+            peer.poll_write().expect("write");
+            conn.poll_read_into(&mut msgs).expect("read");
         }
+        // Drain whatever the last write left in flight.
+        std::thread::sleep(Duration::from_millis(20));
+        conn.poll_read_into(&mut msgs).expect("read");
+        for msg in msgs {
+            handle_msg(msg, Proc::Coordinator, topo, node, obs, &mut control);
+        }
+    }
+
+    #[test]
+    fn hostile_link_frames_off_a_real_connection_are_discarded() {
+        let membership = Membership::from_groups([
+            (GroupId(0), vec![NodeId(0), NodeId(1), NodeId(2)]),
+            (GroupId(1), vec![NodeId(1), NodeId(2), NodeId(3)]),
+        ]);
+        let config = ClusterConfig::default();
+        let topo = Topology::derive(&membership, config.seed);
+        let atom = topo.graph.ingress(GroupId(0)).expect("g0 has a path");
+        let idx = topo.atom_node[&atom];
+        let link = topo.link_between(Peer::Publisher, Peer::Node(idx));
+        let frame = |id: u64| Frame {
+            msg: Message::new(MessageId(id), NodeId(0), GroupId(0), Vec::new()),
+            target_atom: Some(atom),
+        };
+        let outgoing = topo
+            .links
+            .iter()
+            .position(|&(from, _)| from == Peer::Node(idx))
+            .expect("the node has an outgoing link") as u32;
+
+        let dir = std::env::temp_dir().join(format!("seqnet-node-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let mut obs = ObsLog::open(&dir.join("node.obs.jsonl"), false);
+        let mut node = NodeMachine::new(idx, &topo, &config, 0, false);
+        let (mut peer, mut conn) = conn_pair();
+
+        let hostile = [
+            // A link id past the end of the table, with every body shape.
+            (topo.links.len() as u32, 1, WireBody::Data(frame(1))),
+            (u32::MAX, 1, WireBody::DataBatch(vec![frame(1)])),
+            (u32::MAX, 7, WireBody::Ack),
+            (u32::MAX, 7, WireBody::AckThrough),
+            (u32::MAX, 0, WireBody::Heartbeat),
+            // A real link, but data flowing against its direction.
+            (outgoing, 1, WireBody::Data(frame(1))),
+            // A batch whose sequence range runs past u64::MAX.
+            (
+                link,
+                u64::MAX,
+                WireBody::DataBatch(vec![frame(1), frame(2)]),
+            ),
+        ];
+        for (link, seq, body) in hostile {
+            peer.queue(&WireMsg::Link { link, seq, body });
+        }
+        pump_into_handler(&mut peer, &mut conn, &topo, &mut node, &mut obs);
+        assert_eq!(node.counters().frames_processed, 0, "nothing was accepted");
+        assert_eq!(node.engine().staged_len(), 0);
+        assert_eq!(node.drain_outbox().count(), 0, "and nothing was answered");
+
+        // The same connection still carries real traffic afterwards.
+        peer.queue(&WireMsg::Link {
+            link,
+            seq: 1,
+            body: WireBody::Data(frame(1)),
+        });
+        pump_into_handler(&mut peer, &mut conn, &topo, &mut node, &mut obs);
+        assert_eq!(node.counters().frames_processed, 1);
+        assert!(
+            node.engine().staged_len() > 0,
+            "the frame was sequenced and staged"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,8 +11,9 @@
 //! returns, so everything that ever escaped the node is recorded in some
 //! on-disk snapshot.
 
-use crate::wire::{put_frame, take_frame, CodecError};
-use seqnet_core::proto::Frame;
+use crate::wire::CodecError;
+use seqnet_runtime::codec::{put_frame, put_u32, put_u64, Reader};
+use seqnet_runtime::{LinkSnapshot, TxLinkSnapshot};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -30,43 +31,13 @@ pub struct DiskSnapshot {
     pub overlaps: Vec<u64>,
     /// Group-counter values as `(group id, counter)` pairs.
     pub groups: Vec<(u32, u64)>,
-    /// Per incoming link: the next in-order sequence number expected at
-    /// snapshot time.
-    pub rx_next: Vec<(u32, u64)>,
-    /// Per outgoing link: the next fresh sequence number and the frames
-    /// unacknowledged at snapshot time.
-    pub tx: Vec<(u32, u64, Vec<(u64, Frame)>)>,
+    /// Both halves of every link the node terminates.
+    pub links: LinkSnapshot,
 }
 
 /// The snapshot path for node `idx` under `dir`.
 pub fn snapshot_path(dir: &Path, idx: usize) -> PathBuf {
     dir.join(format!("node{idx}.snap"))
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn take_u32(buf: &mut &[u8]) -> Result<u32, CodecError> {
-    if buf.len() < 4 {
-        return Err(CodecError::Garbled("truncated snapshot"));
-    }
-    let v = u32::from_le_bytes(buf[..4].try_into().unwrap());
-    *buf = &buf[4..];
-    Ok(v)
-}
-
-fn take_u64(buf: &mut &[u8]) -> Result<u64, CodecError> {
-    if buf.len() < 8 {
-        return Err(CodecError::Garbled("truncated snapshot"));
-    }
-    let v = u64::from_le_bytes(buf[..8].try_into().unwrap());
-    *buf = &buf[8..];
-    Ok(v)
 }
 
 impl DiskSnapshot {
@@ -84,17 +55,17 @@ impl DiskSnapshot {
             put_u32(&mut out, g);
             put_u64(&mut out, c);
         }
-        put_u32(&mut out, self.rx_next.len() as u32);
-        for &(link, next) in &self.rx_next {
+        put_u32(&mut out, self.links.rx_next.len() as u32);
+        for &(link, next) in &self.links.rx_next {
             put_u32(&mut out, link);
             put_u64(&mut out, next);
         }
-        put_u32(&mut out, self.tx.len() as u32);
-        for (link, next_seq, frames) in &self.tx {
-            put_u32(&mut out, *link);
-            put_u64(&mut out, *next_seq);
-            put_u32(&mut out, frames.len() as u32);
-            for (seq, frame) in frames {
+        put_u32(&mut out, self.links.tx.len() as u32);
+        for tx in &self.links.tx {
+            put_u32(&mut out, tx.link);
+            put_u64(&mut out, tx.next_seq);
+            put_u32(&mut out, tx.frames.len() as u32);
+            for (seq, frame) in &tx.frames {
                 put_u64(&mut out, *seq);
                 put_frame(&mut out, frame);
             }
@@ -108,40 +79,42 @@ impl DiskSnapshot {
     /// # Errors
     ///
     /// Returns a [`CodecError`] on truncated or corrupt input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CodecError> {
+    pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
         if buf.len() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
             return Err(CodecError::Garbled("bad snapshot magic"));
         }
-        buf = &buf[MAGIC.len()..];
+        let mut r = Reader::new(&buf[MAGIC.len()..]);
         let mut snap = DiskSnapshot {
-            epoch: take_u64(&mut buf)?,
+            epoch: r.u64()?,
             ..DiskSnapshot::default()
         };
-        for _ in 0..take_u32(&mut buf)? {
-            snap.overlaps.push(take_u64(&mut buf)?);
+        for _ in 0..r.u32()? {
+            snap.overlaps.push(r.u64()?);
         }
-        for _ in 0..take_u32(&mut buf)? {
-            let g = take_u32(&mut buf)?;
-            snap.groups.push((g, take_u64(&mut buf)?));
+        for _ in 0..r.u32()? {
+            let g = r.u32()?;
+            snap.groups.push((g, r.u64()?));
         }
-        for _ in 0..take_u32(&mut buf)? {
-            let link = take_u32(&mut buf)?;
-            snap.rx_next.push((link, take_u64(&mut buf)?));
+        for _ in 0..r.u32()? {
+            let link = r.u32()?;
+            snap.links.rx_next.push((link, r.u64()?));
         }
-        for _ in 0..take_u32(&mut buf)? {
-            let link = take_u32(&mut buf)?;
-            let next_seq = take_u64(&mut buf)?;
-            let n = take_u32(&mut buf)?;
+        for _ in 0..r.u32()? {
+            let link = r.u32()?;
+            let next_seq = r.u64()?;
+            let n = r.u32()?;
             let mut frames = Vec::with_capacity((n as usize).min(1024));
             for _ in 0..n {
-                let seq = take_u64(&mut buf)?;
-                frames.push((seq, take_frame(&mut buf)?));
+                let seq = r.u64()?;
+                frames.push((seq, r.frame()?));
             }
-            snap.tx.push((link, next_seq, frames));
+            snap.links.tx.push(TxLinkSnapshot {
+                link,
+                next_seq,
+                frames,
+            });
         }
-        if !buf.is_empty() {
-            return Err(CodecError::Garbled("trailing snapshot bytes"));
-        }
+        r.done()?;
         Ok(snap)
     }
 
@@ -178,6 +151,7 @@ impl DiskSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqnet_core::proto::Frame;
     use seqnet_core::{Message, MessageId};
     use seqnet_membership::{GroupId, NodeId};
 
@@ -194,8 +168,14 @@ mod tests {
             epoch: 3,
             overlaps: vec![3, 0, 7],
             groups: vec![(0, 4), (1, 9)],
-            rx_next: vec![(2, 11)],
-            tx: vec![(5, 13, vec![(11, frame(1)), (12, frame(2))])],
+            links: LinkSnapshot {
+                rx_next: vec![(2, 11)],
+                tx: vec![TxLinkSnapshot {
+                    link: 5,
+                    next_seq: 13,
+                    frames: vec![(11, frame(1)), (12, frame(2))],
+                }],
+            },
         };
         let dir = std::env::temp_dir().join(format!("seqnet-snap-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");

@@ -10,6 +10,7 @@
 
 use seqnet_membership::{GroupId, Membership, NodeId};
 use seqnet_runtime::ClusterConfig;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -32,6 +33,11 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
+    /// The localhost address sequencing node `node` listens on.
+    pub fn node_addr(&self, node: usize) -> SocketAddr {
+        SocketAddr::from(([127, 0, 0, 1], self.ports[node]))
+    }
+
     /// Serializes the spec to its line format.
     pub fn encode(&self) -> String {
         let mut s = String::from("seqnet-cluster-spec v1\n");

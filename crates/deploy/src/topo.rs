@@ -1,19 +1,15 @@
-//! Deterministic deployment topology, recomputed identically by every
-//! process.
+//! Which OS process owns which party.
 //!
-//! The coordinator and every sequencing-node process derive the same
-//! sequencing graph, atom co-location, and link table from nothing but the
-//! membership and the seed — exactly the derivation the threaded runtime's
-//! `Cluster::start` performs — so link ids carried on the wire mean the
-//! same thing everywhere and no process ever has to ship the topology to
-//! another.
+//! The link table itself — graph, co-location, link enumeration — is
+//! [`Topology`], derived once in `seqnet-runtime` and shared with the
+//! threaded driver; the coordinator and every sequencing-node process
+//! recompute it from `(membership, seed)`, so link ids carried on the wire
+//! mean the same thing everywhere and nothing is shipped. What is specific
+//! to a multi-process deployment is the mapping from parties to processes.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use seqnet_core::proto::Peer;
-use seqnet_membership::Membership;
-use seqnet_overlap::{AtomId, Colocation, GraphBuilder, SequencingGraph};
-use std::collections::{BTreeSet, HashMap};
+
+pub use seqnet_runtime::Topology;
 
 /// The OS process owning a party: the coordinator runs the publisher
 /// front-end and every subscriber host in-process; each sequencing node is
@@ -26,196 +22,35 @@ pub enum Proc {
     Node(usize),
 }
 
-/// The shared wiring every process derives from (membership, seed).
-#[derive(Debug)]
-pub struct Topology {
-    /// The sequencing graph for the membership.
-    pub graph: SequencingGraph,
-    /// The membership itself.
-    pub membership: Membership,
-    /// Sequencing node hosting each live atom.
-    pub atom_node: HashMap<AtomId, usize>,
-    /// Number of sequencing nodes (= child processes).
-    pub num_nodes: usize,
-    /// Directed reliable links, indexed by wire link id.
-    pub links: Vec<(Peer, Peer)>,
-    /// Reverse index of `links`.
-    pub link_index: HashMap<(Peer, Peer), u32>,
-}
-
-impl Topology {
-    /// Derives the full topology. Must stay in lockstep with the threaded
-    /// runtime's `Cluster::start`: same graph builder, same seeded
-    /// co-location, same link enumeration order — the three-way oracle
-    /// depends on all drivers running the identical wiring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the constructed graph fails validation (a bug, not an
-    /// input error).
-    pub fn derive(membership: &Membership, seed: u64) -> Self {
-        let graph = GraphBuilder::new().build(membership);
-        graph
-            .validate_against(membership)
-            .expect("constructed graph is valid");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let coloc = Colocation::compute(&graph, &mut rng);
-
-        let mut atom_node: HashMap<AtomId, usize> = HashMap::new();
-        for atom in graph.atoms() {
-            if let Some(nidx) = coloc.node_of(atom.id) {
-                atom_node.insert(atom.id, nidx);
-            }
-        }
-
-        let mut links: Vec<(Peer, Peer)> = Vec::new();
-        let mut link_index: HashMap<(Peer, Peer), u32> = HashMap::new();
-        let add_link = |from: Peer,
-                        to: Peer,
-                        links: &mut Vec<(Peer, Peer)>,
-                        index: &mut HashMap<(Peer, Peer), u32>| {
-            index.entry((from, to)).or_insert_with(|| {
-                let id = links.len() as u32;
-                links.push((from, to));
-                id
-            });
-        };
-        for (group, path) in graph.paths() {
-            let ingress = atom_node[path.first().expect("paths are non-empty")];
-            add_link(
-                Peer::Publisher,
-                Peer::Node(ingress),
-                &mut links,
-                &mut link_index,
-            );
-            for w in path.windows(2) {
-                let (a, b) = (atom_node[&w[0]], atom_node[&w[1]]);
-                if a != b {
-                    add_link(Peer::Node(a), Peer::Node(b), &mut links, &mut link_index);
-                }
-            }
-            let egress = atom_node[path.last().expect("paths are non-empty")];
-            for member in membership.members(group) {
-                add_link(
-                    Peer::Node(egress),
-                    Peer::Host(member),
-                    &mut links,
-                    &mut link_index,
-                );
-            }
-        }
-
-        Topology {
-            graph,
-            membership: membership.clone(),
-            atom_node,
-            num_nodes: coloc.num_nodes(),
-            links,
-            link_index,
-        }
-    }
-
-    /// The wire link id of the directed link `from -> to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no such link was enumerated.
-    pub fn link_between(&self, from: Peer, to: Peer) -> u32 {
-        self.link_index[&(from, to)]
-    }
-
-    /// The process owning a party.
+impl Proc {
+    /// The process owning `party`.
     pub fn owner(party: Peer) -> Proc {
         match party {
             Peer::Node(i) => Proc::Node(i),
             Peer::Publisher | Peer::Host(_) => Proc::Coordinator,
         }
     }
-
-    /// Sequencing nodes sharing at least one link (in either direction)
-    /// with node `idx` — the node processes `idx` keeps connections to.
-    pub fn node_peers(&self, idx: usize) -> BTreeSet<usize> {
-        let mut peers = BTreeSet::new();
-        for &(from, to) in &self.links {
-            if let (Peer::Node(a), Peer::Node(b)) = (from, to) {
-                if a == idx && b != idx {
-                    peers.insert(b);
-                } else if b == idx && a != idx {
-                    peers.insert(a);
-                }
-            }
-        }
-        peers
-    }
-
-    /// Upstream sequencing nodes whose silence node `idx` watches for
-    /// (peers with a link *into* `idx`), plus the outgoing node links
-    /// `idx` heartbeats on: `(watched, heartbeat_out)`.
-    pub fn heartbeat_plan(&self, idx: usize) -> (BTreeSet<usize>, Vec<(Peer, u32)>) {
-        let mut watched = BTreeSet::new();
-        let mut hb_out = Vec::new();
-        for (i, &(from, to)) in self.links.iter().enumerate() {
-            match (from, to) {
-                (Peer::Node(p), Peer::Node(q)) if q == idx => {
-                    watched.insert(p);
-                }
-                (Peer::Node(p), Peer::Node(_)) if p == idx => {
-                    hb_out.push((to, i as u32));
-                }
-                _ => {}
-            }
-        }
-        (watched, hb_out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seqnet_membership::{GroupId, NodeId};
+    use seqnet_membership::{GroupId, Membership, NodeId};
 
-    fn membership() -> Membership {
-        Membership::from_groups([
+    #[test]
+    fn links_never_connect_a_process_to_itself() {
+        let membership = Membership::from_groups([
             (GroupId(0), vec![NodeId(0), NodeId(1), NodeId(2)]),
             (GroupId(1), vec![NodeId(1), NodeId(2), NodeId(3)]),
-        ])
-    }
-
-    #[test]
-    fn derivation_is_deterministic() {
-        let a = Topology::derive(&membership(), 42);
-        let b = Topology::derive(&membership(), 42);
-        assert_eq!(a.links, b.links);
-        assert_eq!(a.num_nodes, b.num_nodes);
-        assert_eq!(a.atom_node, b.atom_node);
-    }
-
-    #[test]
-    fn every_link_endpoint_has_an_owner_process() {
-        let t = Topology::derive(&membership(), 7);
+        ]);
+        let t = Topology::derive(&membership, 7);
         assert!(t.num_nodes >= 1);
         for &(from, to) in &t.links {
-            let _ = Topology::owner(from);
-            let _ = Topology::owner(to);
             assert_ne!(
-                Topology::owner(from),
-                Topology::owner(to),
-                "links never connect a process to itself: {from:?} -> {to:?}"
+                Proc::owner(from),
+                Proc::owner(to),
+                "{from:?} -> {to:?} would need no connection"
             );
-        }
-    }
-
-    #[test]
-    fn heartbeat_plan_matches_link_directions() {
-        let t = Topology::derive(&membership(), 7);
-        for idx in 0..t.num_nodes {
-            let (watched, hb_out) = t.heartbeat_plan(idx);
-            for p in &watched {
-                assert!(t.link_index.contains_key(&(Peer::Node(*p), Peer::Node(idx))));
-            }
-            for &(to, link) in &hb_out {
-                assert_eq!(t.links[link as usize], (Peer::Node(idx), to));
-            }
         }
     }
 }

@@ -16,12 +16,11 @@
 //! [`seqnet_runtime::codec`], shared with the threaded runtime; this
 //! module layers the connection-message envelope ([`WireMsg`]) on top.
 
-use seqnet_core::proto::{Frame, Peer};
-use seqnet_runtime::codec::{put_peer, put_u32, put_u64, Reader};
+use seqnet_core::proto::Peer;
+use seqnet_runtime::codec::{put_frame, put_peer, put_u32, put_u64, Reader};
 use std::collections::BTreeMap;
 
 pub use seqnet_runtime::codec::CodecError;
-pub(crate) use seqnet_runtime::codec::{put_frame, take_frame};
 
 /// Upper bound on one wire frame's payload. Anything larger is treated as
 /// a garbled or hostile length prefix and rejected before allocation.
@@ -112,22 +111,10 @@ pub enum WireMsg {
     Telemetry(NodeTelemetry),
 }
 
-/// Body of a [`WireMsg::Link`] frame — the socket analogue of the
-/// threaded runtime's internal `Body` enum.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireBody {
-    /// One protocol frame.
-    Data(Frame),
-    /// A coalesced run of protocol frames with consecutive link sequence
-    /// numbers starting at the carried `seq`.
-    DataBatch(Vec<Frame>),
-    /// Acknowledges exactly the carried sequence number.
-    Ack,
-    /// Acknowledges everything through the carried sequence number.
-    AckThrough,
-    /// Liveness beacon; bypasses reliable delivery.
-    Heartbeat,
-}
+/// Body of a [`WireMsg::Link`] frame: the link engine's own body type,
+/// encoded as it stands — the socket deployment and the threaded runtime
+/// carry the same five variants.
+pub use seqnet_runtime::LinkBody as WireBody;
 
 // --- encoding ---------------------------------------------------------
 
@@ -324,6 +311,7 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqnet_core::proto::Frame;
     use seqnet_core::{Message, MessageId, SeqNo, Stamp};
     use seqnet_membership::{GroupId, NodeId};
     use seqnet_overlap::AtomId;

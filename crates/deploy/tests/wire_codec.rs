@@ -161,7 +161,7 @@ proptest! {
         link in any::<u32>(),
         seq in any::<u64>(),
     ) {
-        use seqnet_runtime::codec::{put_frame, take_frame};
+        use seqnet_runtime::codec::{put_frame, Reader};
         let msg = WireMsg::Link { link, seq, body: WireBody::Data(frame.clone()) };
         let mut envelope = Vec::new();
         encode(&msg, &mut envelope);
@@ -169,9 +169,9 @@ proptest! {
         let mut standalone = Vec::new();
         put_frame(&mut standalone, &frame);
         prop_assert_eq!(frame_bytes, standalone.as_slice());
-        let mut rest = frame_bytes;
-        prop_assert_eq!(take_frame(&mut rest).map_err(|e| e.to_string())?, frame);
-        prop_assert!(rest.is_empty());
+        let mut r = Reader::new(frame_bytes);
+        prop_assert_eq!(r.frame().map_err(|e| e.to_string())?, frame);
+        prop_assert_eq!(r.done(), Ok(()));
         prop_assert_eq!(decode_payload(&envelope[4..]).map_err(|e| e.to_string())?, msg);
     }
 
@@ -265,8 +265,8 @@ fn one_byte_dribble_through_a_real_socket() {
     let mut got = Vec::new();
     while got.len() < msgs.len() {
         assert!(std::time::Instant::now() < deadline, "dribble stalled");
-        match b.poll_read() {
-            Ok(ms) => got.extend(ms),
+        match b.poll_read_into(&mut got) {
+            Ok(_) => {}
             Err(ConnError::Closed(_)) => break,
             Err(e) => panic!("dribbled stream must stay clean: {e}"),
         }
@@ -274,4 +274,58 @@ fn one_byte_dribble_through_a_real_socket() {
     }
     writer.join().expect("writer thread");
     assert_eq!(got, msgs);
+}
+
+/// `WireBody` is the link engine's own body type, re-exported: the bytes of
+/// one `WireMsg::Link` per variant must stay exactly what they were when
+/// deploy declared the enum itself. Fixtures captured at the commit before
+/// the re-export (link 5, seq 42, the frame of the unit tests).
+#[test]
+fn link_frames_encode_to_the_golden_bytes() {
+    fn frame(id: u64) -> Frame {
+        let mut msg = Message::new(MessageId(id), NodeId(3), GroupId(1), b"payload".to_vec());
+        msg.group_seq = seqnet_core::SeqNo(9);
+        msg.epoch = 2;
+        msg.stamps.push(seqnet_core::Stamp {
+            atom: AtomId(4),
+            seq: seqnet_core::SeqNo(17),
+        });
+        Frame {
+            msg,
+            target_atom: Some(AtomId(2)),
+        }
+    }
+    const FRAME_TAIL: &str = "00000000000000030000000100000009000000000000000200000000000000\
+        01000000040000001100000000000000070000007061796c6f61640102000000";
+    let golden = [
+        (
+            WireBody::Data(frame(1)),
+            format!("4e00000001050000002a000000000000000001{FRAME_TAIL}"),
+        ),
+        (
+            WireBody::DataBatch(vec![frame(2), frame(3)]),
+            format!("9200000001050000002a00000000000000010200000002{FRAME_TAIL}03{FRAME_TAIL}"),
+        ),
+        (WireBody::Ack, "0e00000001050000002a0000000000000002".into()),
+        (
+            WireBody::AckThrough,
+            "0e00000001050000002a0000000000000003".into(),
+        ),
+        (
+            WireBody::Heartbeat,
+            "0e00000001050000002a0000000000000004".into(),
+        ),
+    ];
+    for (body, want) in golden {
+        let msg = WireMsg::Link {
+            link: 5,
+            seq: 42,
+            body,
+        };
+        let mut bytes = Vec::new();
+        encode(&msg, &mut bytes);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, want.replace(char::is_whitespace, ""), "{msg:?}");
+        assert_eq!(decode_payload(&bytes[4..]), Ok(msg));
+    }
 }

@@ -33,8 +33,8 @@ pub trait TraceSink: std::fmt::Debug {
 }
 
 /// The do-nothing sink: `enabled()` is a constant `false`, so the
-/// untraced paths (`NodeCore::on_event` and friends) monomorphize to
-/// exactly the pre-instrumentation code.
+/// core entry points called with it monomorphize to exactly the
+/// uninstrumented code.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullSink;
 
@@ -150,6 +150,44 @@ impl TraceSink for FlightRecorder {
     }
 }
 
+/// A borrowed sink is a sink: drivers holding a lock guard or a field
+/// hand the cores `&mut` to it without giving it away.
+impl<S: TraceSink + ?Sized> TraceSink for &mut S {
+    fn enabled(&self) -> bool {
+        (**self).enabled()
+    }
+
+    fn now(&mut self, at: u64) {
+        (**self).now(at);
+    }
+
+    fn record(&mut self, event: TraceEvent) {
+        (**self).record(event);
+    }
+}
+
+/// An optional sink: `None` is disabled and drops whatever it is handed,
+/// `Some` delegates. Lets a driver whose tracing is a run-time switch make
+/// one sink-generic call per site instead of forking traced and untraced
+/// variants.
+impl<S: TraceSink> TraceSink for Option<S> {
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(TraceSink::enabled)
+    }
+
+    fn now(&mut self, at: u64) {
+        if let Some(sink) = self {
+            sink.now(at);
+        }
+    }
+
+    fn record(&mut self, event: TraceEvent) {
+        if let Some(sink) = self {
+            sink.record(event);
+        }
+    }
+}
+
 /// Single-threaded shared handle: the simulator keeps one clone while
 /// its engine holds another.
 impl<S: TraceSink> TraceSink for Rc<RefCell<S>> {
@@ -223,6 +261,22 @@ mod tests {
     #[test]
     fn null_sink_is_disabled() {
         assert!(!NullSink.enabled());
+    }
+
+    #[test]
+    fn optional_and_borrowed_sinks_delegate() {
+        let mut none: Option<Recorder> = None;
+        assert!(!none.enabled());
+        none.now(3);
+        none.record(ev(EventKind::Crash)); // dropped, not a panic
+
+        let mut recorder = Recorder::new();
+        let mut some = Some(&mut recorder);
+        assert!(some.enabled());
+        some.now(9);
+        some.record(ev(EventKind::Deliver));
+        assert_eq!(recorder.events()[0].at, 9);
+        assert!(!Some(NullSink).enabled(), "Some defers to the inner sink");
     }
 
     #[test]

@@ -1,37 +1,35 @@
 //! Orchestration: sequencing-node and host threads wired by reliable links.
 //!
-//! Beyond the fault-free pipeline, this module implements sequencer
-//! crash–recovery. Every sequencing node periodically checkpoints its
-//! durable state (protocol counters plus both halves of every link) into a
-//! shared snapshot store, and the runtime enforces a group-commit rule:
-//! *nothing escapes a node before a snapshot containing it*. Output frames
-//! are staged in the link senders' retransmission buffers but withheld from
-//! the wire until the next snapshot; acknowledgments to upstream peers are
-//! deferred and sent as a single cumulative ack covering exactly the
-//! snapshotted receive prefix. A restarted node therefore resumes from its
-//! last snapshot, and everything it processed after that snapshot is
-//! replayed to it from upstream retransmission buffers — the paper's §3.1
-//! output buffers double as the recovery log. Publishers reach ingress
-//! nodes over the same reliable links (capped-exponential-backoff retry),
-//! and nodes exchange heartbeats so that peer failures are detected, not
-//! just tolerated.
+//! This module is the threaded *shell* around the sans-I/O machines: every
+//! sequencing-node thread runs one [`NodeMachine`], every host thread and
+//! the publisher front-end one [`LinkEngine`], and all this module adds is
+//! transport — crossbeam channels between the parties, an optional delayer
+//! thread for simulated propagation delay, and a shared in-memory snapshot
+//! store standing in for each node's stable storage. The group-commit
+//! rule, heartbeat-based failure detection and crash–recovery replay live
+//! in the machines and are documented there; [`Cluster::crash_node`] and
+//! [`Cluster::restart_node`] exercise them by killing and re-spawning node
+//! threads.
 
-use crate::link::{LinkReceiver, LinkSender};
+use crate::engine::{LinkCounters, LinkEngine, LinkSnapshot, Transmission};
+use crate::front::PublishFront;
+use crate::node::NodeMachine;
+use crate::topo::Topology;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seqnet_core::proto::trace::{Actor, EventKind, TraceEvent, TraceSink};
 use seqnet_core::proto::{
-    Command, CommandBuf, Event, Frame, NodeCore, Peer, ProtocolState, ReceiverCore, RecoveryStats,
-    Routing,
+    Command, CommandBuf, Event, Frame, Peer, ProtocolState, ReceiverCore, RecoveryStats,
 };
 use seqnet_core::{Message, MessageId};
 use seqnet_membership::{GroupId, Membership, NodeId};
 use seqnet_obs::{prom, Recorder, Registry};
-use seqnet_overlap::{AtomId, Colocation, GraphBuilder, SequencingGraph};
+use seqnet_overlap::SequencingGraph;
 use seqnet_sim::{FaultPlan, SimTime};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,57 +38,10 @@ use std::sync::Mutex as StdMutex;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A party in the deployment — the protocol core's [`Peer`] type names
-/// sequencing-node threads, host threads, and the publisher front-end
-/// living inside [`Cluster`] alike.
-type Party = Peer;
-
-/// Identifies a directed reliable link between two parties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct LinkId(u32);
-
-#[derive(Debug, Clone)]
-enum Body {
-    Data(Frame),
-    /// A coalesced run of data frames carrying consecutive link sequence
-    /// numbers starting at the `ThreadMsg::Frame` sequence number: many
-    /// small frames, one wire write. Produced by [`LinkEngine::flush_staged`]
-    /// when [`ClusterConfig::coalesce`] is set; each frame stays
-    /// individually tracked in the sender's retransmission buffer, so
-    /// retransmissions and snapshots are unaffected by the framing.
-    DataBatch(Vec<Frame>),
-    /// Acknowledges exactly the frame sequence number it carries.
-    Ack,
-    /// Cumulative acknowledgment: every frame up to and including the
-    /// carried sequence number is confirmed. Sent by sequencing nodes at
-    /// snapshot time, so an ack never outruns the durable state that
-    /// records its frames.
-    AckThrough,
-    /// Liveness beacon between sequencing nodes; carries no payload and
-    /// bypasses the reliable-delivery machinery.
-    Heartbeat,
-}
-
 #[derive(Debug)]
 enum ThreadMsg {
-    Frame { link: LinkId, seq: u64, body: Body },
+    Frame(Transmission),
     Shutdown,
-}
-
-#[derive(Debug, Clone)]
-struct DeliveryNote {
-    host: NodeId,
-    msg: Message,
-}
-
-/// A frame held by the delayer thread until its release time.
-#[derive(Debug)]
-struct DelayedFrame {
-    release_at: Instant,
-    to: Party,
-    link: LinkId,
-    seq: u64,
-    body: Body,
 }
 
 /// Counters aggregated across all threads at shutdown.
@@ -154,11 +105,12 @@ pub struct ClusterConfig {
     /// reconnecting once a peer is suspected.
     pub heartbeat_miss_threshold: u32,
     /// Coalesce staged output frames at flush time: each snapshot flush
-    /// puts one [`Body::DataBatch`] per link on the wire instead of one
-    /// message per frame. Framing only — every frame keeps its own link
-    /// sequence number, retransmission entry, and snapshot slot, and the
-    /// receiving side acknowledges a batch with a single cumulative ack.
-    /// Off by default.
+    /// puts one [`LinkBody::DataBatch`](crate::LinkBody::DataBatch) per
+    /// run of frames on a link on the wire instead of one message per
+    /// frame. Framing only — every frame keeps its own link sequence
+    /// number, retransmission entry, and snapshot slot, and the receiving
+    /// side acknowledges a batch with a single cumulative ack. Off by
+    /// default.
     pub coalesce: bool,
     /// Seed for co-location and loss injection.
     pub seed: u64,
@@ -258,6 +210,11 @@ pub enum RuntimeError {
     },
     /// [`Cluster::complete_reconfigure`] was called with nothing staged.
     NoPendingReconfig,
+    /// The next epoch's deployment could not be brought up after the old
+    /// one drained (port reservation, spec write, process spawn); carries
+    /// the description. Only a deployment that spawns processes returns
+    /// it, and unlike a drain timeout a retry will not help.
+    Spawn(String),
 }
 
 impl fmt::Display for RuntimeError {
@@ -272,52 +229,34 @@ impl fmt::Display for RuntimeError {
                 "reconfiguration already pending: epoch {next_epoch} has not activated yet"
             ),
             RuntimeError::NoPendingReconfig => write!(f, "no reconfiguration pending"),
+            RuntimeError::Spawn(why) => write!(f, "cannot start the next epoch: {why}"),
         }
     }
 }
 
 impl Error for RuntimeError {}
-
-/// Durable state a sequencing node checkpoints: its protocol counters plus
-/// both halves of every link it terminates. The snapshot store stands in
-/// for stable storage; frames transmitted before the crash are exactly the
-/// frames some snapshot records, so restoring the latest snapshot plus
-/// replay from upstream output buffers reconstructs a consistent node.
-#[derive(Debug, Clone)]
-struct NodeSnapshot {
-    protocol: ProtocolState,
-    /// Per incoming link: the next in-order sequence number expected at
-    /// snapshot time (everything below it was processed and is covered by
-    /// `protocol`).
-    rx_next: HashMap<LinkId, u64>,
-    /// Per outgoing link: the next fresh sequence number and the frames
-    /// still unacknowledged at snapshot time.
-    tx_state: HashMap<LinkId, (u64, Vec<(u64, Frame)>)>,
-}
-
-/// Immutable wiring shared by all threads.
+/// What every thread shares: the topology, the channels, and the stores
+/// that stand in for the world outside a process.
 #[derive(Debug)]
 struct Wiring {
-    graph: SequencingGraph,
-    membership: Membership,
-    /// Sequencing node hosting each live atom.
-    atom_node: HashMap<AtomId, usize>,
-    links: Vec<(Party, Party)>,
-    link_index: HashMap<(Party, Party), LinkId>,
-    outboxes: BTreeMap<Party, Sender<ThreadMsg>>,
+    topo: Topology,
+    outboxes: BTreeMap<Peer, Sender<ThreadMsg>>,
     config: ClusterConfig,
     stats: Mutex<RuntimeStats>,
     /// Wire-write size histogram: how many data transmissions carried
-    /// each frame count (1 for `Body::Data`, the run length for
-    /// `Body::DataBatch`). Merged from per-thread tallies at thread exit,
+    /// each frame count. Merged from per-thread tallies at thread exit,
     /// so it is complete after [`Cluster::shutdown`]. Mirrors the
     /// simulator's `batch_size_counts`.
     batch_sizes: Mutex<BTreeMap<usize, u64>>,
     /// Latest checkpoint per sequencing node; the stand-in for each
-    /// node's stable storage.
-    snapshots: Mutex<HashMap<usize, NodeSnapshot>>,
-    /// Frames routed through the delayer thread when `link_delay > 0`.
-    delayer: Option<Sender<DelayedFrame>>,
+    /// node's stable storage. Frames transmitted before a crash are
+    /// exactly the frames some checkpoint records, so restoring the latest
+    /// one plus replay from upstream output buffers reconstructs a
+    /// consistent node.
+    snapshots: Mutex<HashMap<usize, (ProtocolState, LinkSnapshot)>>,
+    /// Transmissions routed through the delayer thread when
+    /// `link_delay > 0`.
+    delayer: Option<Sender<Transmission>>,
     /// Shared structured-trace recorder when `config.trace` is set; every
     /// thread appends under the mutex, stamped relative to `epoch`.
     trace: Option<Arc<StdMutex<Recorder>>>,
@@ -332,8 +271,91 @@ struct Wiring {
 }
 
 impl Wiring {
-    fn link_between(&self, from: Party, to: Party) -> LinkId {
-        self.link_index[&(from, to)]
+    /// Puts drained outbox entries on their destinations' channels, or
+    /// hands them to the delayer thread.
+    fn route(&self, out: impl Iterator<Item = Transmission>) {
+        for t in out {
+            match &self.delayer {
+                Some(delayer) => {
+                    let _ = delayer.send(t);
+                }
+                None => deliver(&self.outboxes, t),
+            }
+        }
+    }
+
+    /// Runs `f` with the one sink every machine call takes: the shared
+    /// recorder, locked and stamped with wall microseconds since cluster
+    /// start, or `None` when the deployment is untraced.
+    fn traced<R>(&self, f: impl FnOnce(&mut Option<&mut Recorder>) -> R) -> R {
+        let mut guard = self
+            .trace
+            .as_ref()
+            .map(|rec| rec.lock().expect("trace sink poisoned"));
+        let mut sink = guard.as_deref_mut();
+        if let Some(rec) = &mut sink {
+            rec.now(self.epoch.elapsed().as_micros() as u64);
+        }
+        f(&mut sink)
+    }
+
+    /// Folds a finished thread's counters into the shared totals.
+    fn absorb(&self, links: LinkCounters, batches: &BTreeMap<usize, u64>) {
+        let mut stats = self.stats.lock();
+        stats.frames_sent += links.frames_sent;
+        stats.frames_dropped += links.frames_dropped;
+        stats.retransmissions += links.retransmissions;
+        stats.duplicates += links.duplicates;
+        drop(stats);
+        let mut sizes = self.batch_sizes.lock();
+        for (&size, &count) in batches {
+            *sizes.entry(size).or_insert(0) += count;
+        }
+    }
+}
+
+fn deliver(outboxes: &BTreeMap<Peer, Sender<ThreadMsg>>, t: Transmission) {
+    let _ = outboxes[&t.to].send(ThreadMsg::Frame(t));
+}
+
+/// The delayer thread: holds each transmission for a uniform random
+/// duration in `[0, link_delay]`, releasing in time order, so frames on
+/// different links genuinely race and reorder.
+fn delayer_thread(
+    rx: Receiver<Transmission>,
+    outboxes: BTreeMap<Peer, Sender<ThreadMsg>>,
+    link_delay: Duration,
+    seed: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut holding: Vec<(Instant, Transmission)> = Vec::new();
+    loop {
+        let timeout = holding
+            .iter()
+            .map(|(at, _)| at.saturating_duration_since(Instant::now()))
+            .min()
+            .unwrap_or(Duration::from_millis(50));
+        match rx.recv_timeout(timeout.max(Duration::from_micros(100))) {
+            Ok(t) => {
+                let jitter = link_delay.mul_f64(rng.gen_range(0.0..=1.0));
+                holding.push((Instant::now() + jitter, t));
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+        let now = Instant::now();
+        let mut i = 0;
+        while i < holding.len() {
+            if holding[i].0 <= now {
+                deliver(&outboxes, holding.swap_remove(i).1);
+            } else {
+                i += 1;
+            }
+        }
+    }
+    // Flush whatever remains on shutdown.
+    for (_, t) in holding {
+        deliver(&outboxes, t);
     }
 }
 
@@ -358,42 +380,19 @@ pub struct Cluster {
     /// backoff until a node snapshot acknowledges them.
     pub_engine: LinkEngine,
     pub_inbox: Receiver<ThreadMsg>,
-    /// Reused release buffer for [`Cluster::pump_publisher`]; the
-    /// publisher only ever receives acks, so it stays empty.
-    pub_frames: Vec<Frame>,
-    notes: Receiver<DeliveryNote>,
-    next_id: u64,
+    notes: Receiver<(NodeId, Message)>,
     shut_down: bool,
-    /// A staged online reconfiguration (see [`Cluster::begin_reconfigure`]):
-    /// publishes accepted while it is pending park here and are injected
-    /// into the next epoch's wiring once the current epoch drains.
-    pending: Option<PendingReconfig>,
-    /// Total deliveries owed by everything published so far (group size at
-    /// publish time); the handoff drains until `deliveries_seen` catches up.
-    expected_deliveries: usize,
-    /// Deliveries popped off the note channel so far, across epochs.
-    deliveries_seen: usize,
+    /// Ids, the staged reconfiguration with its parked publishes, and the
+    /// delivery ledger; carried across every wiring rebuild.
+    front: PublishFront,
     /// Deliveries drained during a handoff, replayed to callers of
     /// [`Cluster::wait_for_deliveries`] / [`Cluster::next_delivery`] first.
-    carried: VecDeque<DeliveryNote>,
+    carried: VecDeque<(NodeId, Message)>,
     /// Stats, wire-size tallies, and trace events accumulated by earlier
     /// epochs' wirings, merged into the public accessors.
     prior_stats: RuntimeStats,
     prior_batches: BTreeMap<usize, u64>,
     prior_trace: Vec<TraceEvent>,
-    /// Publishes accepted while no reconfiguration was staged.
-    publishes_steady: u64,
-    /// Publishes parked behind a staged handoff (the churn path).
-    publishes_parked: u64,
-}
-
-/// A reconfiguration staged by [`Cluster::begin_reconfigure`] while the
-/// current epoch keeps sequencing: the next membership plus every publish
-/// parked behind the handoff.
-#[derive(Debug)]
-struct PendingReconfig {
-    membership: Membership,
-    parked: Vec<(MessageId, NodeId, GroupId, bytes::Bytes)>,
 }
 
 impl Cluster {
@@ -414,65 +413,15 @@ impl Cluster {
     /// rebuilds the wiring for the next configuration.
     fn start_inner(membership: &Membership, config: ClusterConfig, config_epoch: u64) -> Self {
         config.validate().expect("invalid ClusterConfig");
-        let graph = GraphBuilder::new().build(membership);
-        graph
-            .validate_against(membership)
-            .expect("constructed graph is valid");
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let coloc = Colocation::compute(&graph, &mut rng);
-
-        let mut atom_node: HashMap<AtomId, usize> = HashMap::new();
-        for atom in graph.atoms() {
-            if let Some(nidx) = coloc.node_of(atom.id) {
-                atom_node.insert(atom.id, nidx);
-            }
-        }
-
-        // Enumerate links: publisher→ingress node, node→node along paths,
-        // egress node→member hosts.
-        let mut links: Vec<(Party, Party)> = Vec::new();
-        let mut link_index: HashMap<(Party, Party), LinkId> = HashMap::new();
-        let add_link = |from: Party, to: Party,
-                            links: &mut Vec<(Party, Party)>,
-                            index: &mut HashMap<(Party, Party), LinkId>| {
-            index.entry((from, to)).or_insert_with(|| {
-                let id = LinkId(links.len() as u32);
-                links.push((from, to));
-                id
-            });
-        };
-        for (group, path) in graph.paths() {
-            let ingress = atom_node[path.first().expect("paths are non-empty")];
-            add_link(
-                Party::Publisher,
-                Party::Node(ingress),
-                &mut links,
-                &mut link_index,
-            );
-            for w in path.windows(2) {
-                let (a, b) = (atom_node[&w[0]], atom_node[&w[1]]);
-                if a != b {
-                    add_link(Party::Node(a), Party::Node(b), &mut links, &mut link_index);
-                }
-            }
-            let egress = atom_node[path.last().expect("paths are non-empty")];
-            for member in membership.members(group) {
-                add_link(
-                    Party::Node(egress),
-                    Party::Host(member),
-                    &mut links,
-                    &mut link_index,
-                );
-            }
-        }
+        let topo = Topology::derive(membership, config.seed);
 
         // Channels: one inbox per party, including the publisher.
-        let mut outboxes: BTreeMap<Party, Sender<ThreadMsg>> = BTreeMap::new();
-        let mut inboxes: BTreeMap<Party, Receiver<ThreadMsg>> = BTreeMap::new();
-        let parties: Vec<Party> = (0..coloc.num_nodes())
-            .map(Party::Node)
-            .chain(membership.nodes().map(Party::Host))
-            .chain(std::iter::once(Party::Publisher))
+        let mut outboxes: BTreeMap<Peer, Sender<ThreadMsg>> = BTreeMap::new();
+        let mut inboxes: BTreeMap<Peer, Receiver<ThreadMsg>> = BTreeMap::new();
+        let parties: Vec<Peer> = (0..topo.num_nodes)
+            .map(Peer::Node)
+            .chain(membership.nodes().map(Peer::Host))
+            .chain(std::iter::once(Peer::Publisher))
             .collect();
         for &p in &parties {
             let (tx, rx) = unbounded();
@@ -482,62 +431,16 @@ impl Cluster {
 
         let (note_tx, note_rx) = unbounded();
 
-        // Delayer thread: holds frames for their simulated propagation
-        // delay, releasing in time order. Crossing frames on different
-        // links genuinely reorder.
-        let delayer = if config.link_delay > Duration::ZERO {
-            let (tx, rx) = unbounded::<DelayedFrame>();
-            let boxes = outboxes.clone();
-            std::thread::spawn(move || {
-                let mut holding: Vec<DelayedFrame> = Vec::new();
-                loop {
-                    let timeout = holding
-                        .iter()
-                        .map(|f| f.release_at.saturating_duration_since(Instant::now()))
-                        .min()
-                        .unwrap_or(Duration::from_millis(50));
-                    match rx.recv_timeout(timeout.max(Duration::from_micros(100))) {
-                        Ok(frame) => holding.push(frame),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                    let now = Instant::now();
-                    let mut i = 0;
-                    while i < holding.len() {
-                        if holding[i].release_at <= now {
-                            let f = holding.swap_remove(i);
-                            let _ = boxes[&f.to].send(ThreadMsg::Frame {
-                                link: f.link,
-                                seq: f.seq,
-                                body: f.body,
-                            });
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-                // Flush whatever remains on shutdown.
-                for f in holding {
-                    let _ = boxes[&f.to].send(ThreadMsg::Frame {
-                        link: f.link,
-                        seq: f.seq,
-                        body: f.body,
-                    });
-                }
-            });
-            Some(tx)
-        } else {
-            None
-        };
+        let delayer = (config.link_delay > Duration::ZERO).then(|| {
+            let (tx, rx) = unbounded::<Transmission>();
+            let (boxes, delay, seed) = (outboxes.clone(), config.link_delay, config.seed);
+            std::thread::spawn(move || delayer_thread(rx, boxes, delay, seed));
+            tx
+        });
 
         let wiring = Arc::new(Wiring {
-            graph,
-            membership: membership.clone(),
-            atom_node,
-            links,
-            link_index,
+            topo,
             outboxes,
-            config: config.clone(),
             stats: Mutex::new(RuntimeStats::default()),
             batch_sizes: Mutex::new(BTreeMap::new()),
             snapshots: Mutex::new(HashMap::new()),
@@ -547,6 +450,7 @@ impl Cluster {
                 .then(|| Arc::new(StdMutex::new(Recorder::new()))),
             epoch: Instant::now(),
             config_epoch,
+            config,
         });
 
         let mut node_handles = HashMap::new();
@@ -556,53 +460,43 @@ impl Cluster {
         let mut pub_inbox = None;
         for &p in &parties {
             let inbox = inboxes.remove(&p).expect("inbox exists");
-            let seed = config.seed ^ hash_party(p);
             match p {
-                Party::Node(idx) => {
+                Peer::Node(idx) => {
                     let flag = Arc::new(AtomicBool::new(false));
                     kill_flags.insert(idx, flag.clone());
                     node_inboxes.insert(idx, inbox.clone());
                     let wiring = Arc::clone(&wiring);
                     node_handles.insert(
                         idx,
-                        std::thread::spawn(move || {
-                            node_thread(idx, inbox, wiring, seed, flag, false)
-                        }),
+                        std::thread::spawn(move || node_thread(idx, inbox, wiring, flag, false)),
                     );
                 }
-                Party::Host(host) => {
+                Peer::Host(host) => {
                     let wiring = Arc::clone(&wiring);
                     let note_tx = note_tx.clone();
                     host_handles.push(std::thread::spawn(move || {
-                        host_thread(host, inbox, wiring, note_tx, seed)
+                        host_thread(host, inbox, wiring, note_tx)
                     }));
                 }
-                Party::Publisher => pub_inbox = Some(inbox),
+                Peer::Publisher => pub_inbox = Some(inbox),
             }
         }
 
-        let pub_seed = config.seed ^ hash_party(Party::Publisher);
         Cluster {
+            pub_engine: LinkEngine::new(Peer::Publisher, false, &wiring.config),
             wiring,
             node_handles,
             host_handles,
             node_inboxes,
             kill_flags,
-            pub_engine: LinkEngine::new(Party::Publisher, pub_seed, false),
             pub_inbox: pub_inbox.expect("publisher inbox exists"),
-            pub_frames: Vec::new(),
             notes: note_rx,
-            next_id: 0,
             shut_down: false,
-            pending: None,
-            expected_deliveries: 0,
-            deliveries_seen: 0,
+            front: PublishFront::new(),
             carried: VecDeque::new(),
             prior_stats: RuntimeStats::default(),
             prior_batches: BTreeMap::new(),
             prior_trace: Vec::new(),
-            publishes_steady: 0,
-            publishes_parked: 0,
         }
     }
 
@@ -628,75 +522,37 @@ impl Cluster {
         group: GroupId,
         payload: impl Into<bytes::Bytes>,
     ) -> Result<MessageId, RuntimeError> {
-        let payload = payload.into();
-        if let Some(pending) = &mut self.pending {
-            if pending.membership.group_size(group) == 0 {
-                return Err(RuntimeError::UnknownGroup(group));
-            }
-            let id = MessageId(self.next_id);
-            self.next_id += 1;
-            self.publishes_parked += 1;
-            pending.parked.push((id, sender, group, payload));
-            return Ok(id);
-        }
-        let id = MessageId(self.next_id);
-        self.next_id += 1;
-        self.publishes_steady += 1;
-        self.publish_now(id, sender, group, payload)?;
+        let wiring = &self.wiring;
+        let id = wiring.traced(|sink| {
+            let payload = payload.into();
+            self.front.publish(
+                &wiring.topo,
+                &mut self.pub_engine,
+                sink,
+                sender,
+                group,
+                payload,
+            )
+        })?;
+        self.pump_publisher();
         Ok(id)
     }
 
-    /// Injects an already-identified message into the running wiring: the
-    /// body of [`Cluster::publish`], also used to replay parked publishes
-    /// into the next epoch after a handoff.
-    fn publish_now(
-        &mut self,
-        id: MessageId,
-        sender: NodeId,
-        group: GroupId,
-        payload: bytes::Bytes,
-    ) -> Result<(), RuntimeError> {
-        let Some(ingress) = self.wiring.graph.ingress(group) else {
-            return Err(RuntimeError::UnknownGroup(group));
-        };
-        self.expected_deliveries += self.wiring.membership.group_size(group);
-        let msg = Message::new(id, sender, group, payload);
-        let node = self.wiring.atom_node[&ingress];
-        if let Some(rec) = &self.wiring.trace {
-            let mut sink = rec.lock().expect("trace sink poisoned");
-            sink.now(self.wiring.epoch.elapsed().as_micros() as u64);
-            sink.record(TraceEvent {
-                msg: Some(id.0),
-                group: Some(u64::from(group.0)),
-                detail: Some(u64::from(sender.0)),
-                ..TraceEvent::new(EventKind::Publish, Actor::Publisher)
-            });
-        }
-        self.pub_engine.send_data(
-            &self.wiring,
-            Party::Node(node),
-            Frame {
-                msg,
-                target_atom: Some(ingress),
-            },
-        );
-        self.pump_publisher();
-        Ok(())
-    }
-
-    /// Drains acknowledgments addressed to the publisher and retransmits
-    /// overdue publishes. Called from every front-end entry point; the
-    /// publisher has no thread of its own.
+    /// Drains acknowledgments addressed to the publisher, retransmits
+    /// overdue publishes, and routes the publisher's outbox. Called from
+    /// every front-end entry point; the publisher has no thread of its
+    /// own.
     fn pump_publisher(&mut self) {
+        let topo = &self.wiring.topo;
         while let Ok(msg) = self.pub_inbox.try_recv() {
-            if let ThreadMsg::Frame { link, seq, body } = msg {
-                self.pub_frames.clear();
-                let _ =
-                    self.pub_engine
-                        .on_frame_into(&self.wiring, link, seq, body, &mut self.pub_frames);
+            if let ThreadMsg::Frame(t) = msg {
+                // The publisher only ever receives acks: nothing releases.
+                self.pub_engine
+                    .on_link(topo, t.link, t.seq, t.body, &mut Vec::new());
             }
         }
-        self.pub_engine.retransmit_due(&self.wiring);
+        self.pub_engine.retransmit_due(topo);
+        self.wiring.route(self.pub_engine.drain_outbox());
     }
 
     /// Collects exactly `expected` deliveries (across all hosts), grouped
@@ -710,32 +566,14 @@ impl Cluster {
         expected: usize,
         timeout: Duration,
     ) -> Result<BTreeMap<NodeId, Vec<Message>>, RuntimeError> {
-        let deadline = Instant::now() + timeout;
-        let mut out: BTreeMap<NodeId, Vec<Message>> = BTreeMap::new();
-        let mut received = 0usize;
-        while received < expected {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(RuntimeError::Timeout { expected, received });
-            }
-            match self.pop_note(remaining) {
-                Some(note) => {
-                    out.entry(note.host).or_default().push(note.msg);
-                    received += 1;
-                }
-                None => return Err(RuntimeError::Timeout { expected, received }),
-            }
-        }
-        Ok(out)
+        PublishFront::collect_deliveries(expected, timeout, |remaining| {
+            self.next_delivery(remaining)
+        })
     }
 
-    /// Receives the next delivery note: handoff-carried notes first, then
-    /// the live channel (pumping the publisher while waiting).
-    fn pop_note(&mut self, timeout: Duration) -> Option<DeliveryNote> {
-        if let Some(note) = self.carried.pop_front() {
-            return Some(note);
-        }
-        let deadline = Instant::now() + timeout;
+    /// Waits for a note on the live channel until `deadline`, pumping the
+    /// publisher meanwhile, and books it in the delivery ledger.
+    fn recv_note(&mut self, deadline: Instant) -> Option<(NodeId, Message)> {
         loop {
             self.pump_publisher();
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -747,7 +585,7 @@ impl Cluster {
                 .recv_timeout(remaining.min(Duration::from_millis(2)))
             {
                 Ok(note) => {
-                    self.deliveries_seen += 1;
+                    self.front.note_delivery();
                     return Some(note);
                 }
                 Err(RecvTimeoutError::Timeout) => {}
@@ -779,11 +617,9 @@ impl Cluster {
         self.wiring.stats.lock().recovery.crashes += 1;
         // The core never sees a crash event here (the crash *is* the
         // thread dying), so the driver reports it.
-        if let Some(rec) = &self.wiring.trace {
-            let mut sink = rec.lock().expect("trace sink poisoned");
-            sink.now(self.wiring.epoch.elapsed().as_micros() as u64);
+        self.wiring.traced(|sink| {
             sink.record(TraceEvent::new(EventKind::Crash, Actor::Node(node as u64)));
-        }
+        });
         true
     }
 
@@ -808,10 +644,9 @@ impl Cluster {
         self.kill_flags.insert(node, Arc::clone(&flag));
         let inbox = self.node_inboxes[&node].clone();
         let wiring = Arc::clone(&self.wiring);
-        let seed = self.wiring.config.seed ^ hash_party(Party::Node(node));
         self.node_handles.insert(
             node,
-            std::thread::spawn(move || node_thread(node, inbox, wiring, seed, flag, true)),
+            std::thread::spawn(move || node_thread(node, inbox, wiring, flag, true)),
         );
         true
     }
@@ -858,7 +693,7 @@ impl Cluster {
 
     /// The sequencing graph the deployment runs.
     pub fn graph(&self) -> &SequencingGraph {
-        &self.wiring.graph
+        &self.wiring.topo.graph
     }
 
     /// Number of sequencing-node threads.
@@ -873,13 +708,13 @@ impl Cluster {
 
     /// Whether a reconfiguration is staged but has not activated yet.
     pub fn reconfig_pending(&self) -> bool {
-        self.pending.is_some()
+        self.front.reconfig_pending()
     }
 
     /// Publishes parked behind the staged reconfiguration (zero when none
     /// is pending).
     pub fn parked_publishes(&self) -> usize {
-        self.pending.as_ref().map_or(0, |p| p.parked.len())
+        self.front.parked_publishes()
     }
 
     /// Stages an online reconfiguration to `membership` without stopping
@@ -894,16 +729,8 @@ impl Cluster {
     /// Returns [`RuntimeError::ReconfigPending`] if a staged
     /// reconfiguration is already waiting to activate.
     pub fn begin_reconfigure(&mut self, membership: &Membership) -> Result<u64, RuntimeError> {
-        if self.pending.is_some() {
-            return Err(RuntimeError::ReconfigPending {
-                next_epoch: self.wiring.config_epoch + 1,
-            });
-        }
-        self.pending = Some(PendingReconfig {
-            membership: membership.clone(),
-            parked: Vec::new(),
-        });
-        Ok(self.wiring.config_epoch + 1)
+        self.front
+            .begin_reconfigure(membership, self.wiring.config_epoch)
     }
 
     /// Completes a staged reconfiguration: waits for every delivery the
@@ -924,62 +751,35 @@ impl Cluster {
     /// time — the reconfiguration stays pending so the caller can restart
     /// a crashed node and retry.
     pub fn complete_reconfigure(&mut self, timeout: Duration) -> Result<u64, RuntimeError> {
-        if self.pending.is_none() {
+        if !self.front.reconfig_pending() {
             return Err(RuntimeError::NoPendingReconfig);
         }
         let deadline = Instant::now() + timeout;
-        while self.deliveries_seen < self.expected_deliveries {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(RuntimeError::Timeout {
-                    expected: self.expected_deliveries,
-                    received: self.deliveries_seen,
-                });
-            }
-            self.pump_publisher();
-            match self
-                .notes
-                .recv_timeout(remaining.min(Duration::from_millis(2)))
-            {
-                Ok(note) => {
-                    self.deliveries_seen += 1;
-                    self.carried.push_back(note);
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
+        while !self.front.drained() {
+            match self.recv_note(deadline) {
+                Some(note) => self.carried.push_back(note),
+                None => return Err(self.front.drain_timeout()),
             }
         }
-        let pending = self.pending.take().expect("pending reconfiguration checked");
-        let config = self.wiring.config.clone();
+        let pending = self.front.take_pending().expect("checked above");
         let next_epoch = self.wiring.config_epoch + 1;
         let prior_trace = self.trace_events();
         self.shutdown();
 
-        let mut next = Cluster::start_inner(&pending.membership, config, next_epoch);
-        next.next_id = self.next_id;
-        next.expected_deliveries = self.expected_deliveries;
-        next.deliveries_seen = self.deliveries_seen;
+        let mut next =
+            Cluster::start_inner(&pending.membership, self.wiring.config.clone(), next_epoch);
+        next.front = std::mem::take(&mut self.front);
         next.carried = std::mem::take(&mut self.carried);
-        next.prior_stats = merge_stats(self.prior_stats, *self.wiring.stats.lock());
-        next.prior_batches = std::mem::take(&mut self.prior_batches);
-        for (&size, &count) in self.wiring.batch_sizes.lock().iter() {
-            *next.prior_batches.entry(size).or_insert(0) += count;
-        }
+        next.prior_stats = self.stats();
+        next.prior_batches = self.batch_size_counts();
         next.prior_trace = prior_trace;
-        next.publishes_steady = self.publishes_steady;
-        next.publishes_parked = self.publishes_parked;
-        if let Some(rec) = &next.wiring.trace {
-            let mut sink = rec.lock().expect("trace sink poisoned");
-            sink.now(next.wiring.epoch.elapsed().as_micros() as u64);
-            sink.record(TraceEvent {
-                detail: Some(next_epoch),
-                ..TraceEvent::new(EventKind::EpochAdvance, Actor::Publisher)
-            });
-        }
-        for (id, sender, group, payload) in pending.parked {
-            next.publish_now(id, sender, group, payload)
-                .expect("parked publish was validated against the next membership");
-        }
+        let wiring = &next.wiring;
+        wiring.traced(|sink| {
+            let (topo, publisher) = (&wiring.topo, &mut next.pub_engine);
+            next.front
+                .activate(next_epoch, topo, publisher, sink, pending.parked);
+        });
+        next.pump_publisher();
         *self = next;
         Ok(next_epoch)
     }
@@ -991,7 +791,8 @@ impl Cluster {
         }
         self.shut_down = true;
         self.pump_publisher();
-        self.pub_engine.flush_stats(&self.wiring);
+        self.wiring
+            .absorb(self.pub_engine.counters(), self.pub_engine.batch_sizes());
         for tx in self.wiring.outboxes.values() {
             let _ = tx.send(ThreadMsg::Shutdown);
         }
@@ -1010,9 +811,9 @@ impl Cluster {
     }
 
     /// Wire-write size histogram: transmission count per frames-per-write
-    /// (`Body::Data` counts as size 1, a coalesced `Body::DataBatch` as
-    /// its run length). The runtime twin of the simulator's
-    /// `batch_size_counts`; complete after [`Cluster::shutdown`].
+    /// (a single data frame counts as size 1, a coalesced batch as its run
+    /// length). The runtime twin of the simulator's `batch_size_counts`;
+    /// complete after [`Cluster::shutdown`].
     pub fn batch_size_counts(&self) -> BTreeMap<usize, u64> {
         let mut out = self.prior_batches.clone();
         for (&size, &count) in self.wiring.batch_sizes.lock().iter() {
@@ -1027,7 +828,10 @@ impl Cluster {
     /// [`Cluster::wait_for_deliveries`] for drivers (load harnesses, soak
     /// tests) that need per-delivery receive timestamps.
     pub fn next_delivery(&mut self, timeout: Duration) -> Option<(NodeId, Message)> {
-        self.pop_note(timeout).map(|note| (note.host, note.msg))
+        // Handoff-carried notes first, then the live channel.
+        self.carried
+            .pop_front()
+            .or_else(|| self.recv_note(Instant::now() + timeout))
     }
 
     /// The structured trace recorded so far, in emission order; empty
@@ -1059,9 +863,21 @@ impl Cluster {
         reg.inc("frames_replayed_total", None, stats.recovery.frames_replayed);
         reg.inc("frames_sent_total", None, stats.frames_sent);
         reg.inc("heartbeat_misses_total", None, stats.heartbeat_misses);
-        reg.inc("publishes_parked_total", None, self.publishes_parked);
-        reg.inc("publishes_steady_total", None, self.publishes_steady);
-        reg.inc("recovery_micros_total", None, stats.recovery.recovery_micros);
+        reg.inc(
+            "publishes_parked_total",
+            None,
+            self.front.publishes_parked(),
+        );
+        reg.inc(
+            "publishes_steady_total",
+            None,
+            self.front.publishes_steady(),
+        );
+        reg.inc(
+            "recovery_micros_total",
+            None,
+            stats.recovery.recovery_micros,
+        );
         reg.inc("retransmissions_total", None, stats.retransmissions);
         let current_epoch = self.epoch();
         let mut published: HashMap<u64, u64> = HashMap::new();
@@ -1151,499 +967,44 @@ fn merge_stats(mut a: RuntimeStats, b: RuntimeStats) -> RuntimeStats {
     a
 }
 
-fn hash_party(p: Party) -> u64 {
-    match p {
-        Party::Node(i) => 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1),
-        Party::Host(n) => 0xc2b2_ae3d_27d4_eb4fu64.wrapping_mul(u64::from(n.0) + 1),
-        Party::Publisher => 0x517c_c1b7_2722_0a95,
-    }
-}
-
-/// Per-thread link machinery: senders, receivers, loss injection, and (for
-/// sequencing nodes) the staging area that withholds output frames until a
-/// snapshot records them.
-#[derive(Debug)]
-struct LinkEngine {
-    me: Party,
-    /// Sequencing nodes defer acks to snapshot time (cumulative
-    /// [`Body::AckThrough`]); hosts and the publisher never crash and ack
-    /// every data frame immediately.
-    defer_acks: bool,
-    senders: HashMap<LinkId, LinkSender<Frame>>,
-    receivers: HashMap<LinkId, LinkReceiver<Frame>>,
-    /// Per incoming link: the highest cumulative ack this party has sent,
-    /// i.e. the receive prefix recorded by its last snapshot.
-    acked_floor: HashMap<LinkId, u64>,
-    /// Output frames registered with their link senders but not yet
-    /// transmitted; they leave the node only after the next snapshot.
-    staged: Vec<(Party, LinkId, u64, Frame)>,
-    rng: StdRng,
-    local: RuntimeStats,
-    /// Thread-local wire-write size tally, merged into
-    /// `Wiring::batch_sizes` by [`LinkEngine::flush_stats`].
-    local_batches: BTreeMap<usize, u64>,
-    /// Reusable scratch buffers (the PR 5 `CommandBuf` discipline applied
-    /// to the link layer): flush ordering, coalesced runs, retransmission
-    /// sweeps, and the drained staging area all run against these, so
-    /// steady-state housekeeping performs no allocation.
-    order_scratch: Vec<(Party, LinkId)>,
-    single_scratch: Vec<(u64, Frame)>,
-    run_scratch: Vec<(u64, Vec<Frame>)>,
-    staged_scratch: Vec<(Party, LinkId, u64, Frame)>,
-    due_frames: Vec<(u64, Frame)>,
-    due_wire: Vec<(LinkId, u64, Frame)>,
-}
-
-impl LinkEngine {
-    fn new(me: Party, seed: u64, defer_acks: bool) -> Self {
-        LinkEngine {
-            me,
-            defer_acks,
-            senders: HashMap::new(),
-            receivers: HashMap::new(),
-            acked_floor: HashMap::new(),
-            staged: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
-            local: RuntimeStats::default(),
-            local_batches: BTreeMap::new(),
-            order_scratch: Vec::new(),
-            single_scratch: Vec::new(),
-            run_scratch: Vec::new(),
-            staged_scratch: Vec::new(),
-            due_frames: Vec::new(),
-            due_wire: Vec::new(),
-        }
-    }
-
-    fn sender_for(&mut self, wiring: &Wiring, link: LinkId) -> &mut LinkSender<Frame> {
-        self.senders.entry(link).or_insert_with(|| {
-            LinkSender::with_backoff(wiring.config.retransmit_timeout, wiring.config.backoff_cap)
-        })
-    }
-
-    /// Sends `data` over the reliable link `me -> to`, transmitting
-    /// immediately. Used by the publisher, which never crashes.
-    fn send_data(&mut self, wiring: &Wiring, to: Party, data: Frame) {
-        let link = wiring.link_between(self.me, to);
-        let (seq, payload) = self.sender_for(wiring, link).send(data);
-        self.transmit(wiring, to, link, seq, Body::Data(payload));
-    }
-
-    /// Registers `data` on the reliable link `me -> to` but *stages* it:
-    /// the frame owns its sequence number and will appear in the next
-    /// snapshot, yet reaches the wire only via [`flush_staged`]
-    /// (after that snapshot is durable). Used by sequencing nodes.
-    ///
-    /// [`flush_staged`]: Self::flush_staged
-    fn send_data_held(&mut self, wiring: &Wiring, to: Party, data: Frame) {
-        let link = wiring.link_between(self.me, to);
-        let (seq, payload) = self.sender_for(wiring, link).send_held(data);
-        self.staged.push((to, link, seq, payload));
-    }
-
-    /// Transmits all staged frames and hands them to the normal
-    /// retransmission schedule. Call only after the snapshot recording
-    /// them has been stored. With [`ClusterConfig::coalesce`] set, the
-    /// staged frames on each link leave as one [`Body::DataBatch`] per
-    /// maximal run of consecutive sequence numbers (in practice one
-    /// batch per link per flush) instead of one message each.
-    fn flush_staged(&mut self, wiring: &Wiring) {
-        if wiring.config.coalesce {
-            // Links in order of first staged frame; within a link, the
-            // sender's buffer is already in sequence (= staging) order.
-            // Scratch buffers are swapped out, drained, and swapped back
-            // so a flush allocates only the per-run wire vectors.
-            let mut order = std::mem::take(&mut self.order_scratch);
-            order.clear();
-            for &(to, link, _, _) in &self.staged {
-                if !order.contains(&(to, link)) {
-                    order.push((to, link));
-                }
-            }
-            self.staged.clear();
-            let mut singles = std::mem::take(&mut self.single_scratch);
-            let mut runs = std::mem::take(&mut self.run_scratch);
-            for (to, link) in order.drain(..) {
-                singles.clear();
-                runs.clear();
-                self.sender_for(wiring, link)
-                    .release_held_wire(&mut singles, &mut runs);
-                // Merge the two streams back into sequence order, so the
-                // receiver sees an in-order wire and never has to buffer.
-                let mut si = singles.drain(..).peekable();
-                let mut rj = runs.drain(..).peekable();
-                loop {
-                    let single_first = si.peek().map(|&(seq, _)| seq);
-                    let run_first = rj.peek().map(|&(seq, _)| seq);
-                    let take_single = match (single_first, run_first) {
-                        (Some(s), Some(r)) => s < r,
-                        (Some(_), None) => true,
-                        (None, Some(_)) => false,
-                        (None, None) => break,
-                    };
-                    if take_single {
-                        let (seq, data) = si.next().expect("peeked");
-                        self.transmit(wiring, to, link, seq, Body::Data(data));
-                    } else {
-                        let (first, frames) = rj.next().expect("peeked");
-                        self.transmit(wiring, to, link, first, Body::DataBatch(frames));
-                    }
-                }
-            }
-            self.order_scratch = order;
-            self.single_scratch = singles;
-            self.run_scratch = runs;
-        } else {
-            let mut staged = std::mem::take(&mut self.staged_scratch);
-            std::mem::swap(&mut staged, &mut self.staged);
-            debug_assert!(self.staged.is_empty());
-            for (to, link, seq, data) in staged.drain(..) {
-                self.transmit(wiring, to, link, seq, Body::Data(data));
-            }
-            self.staged_scratch = staged;
-        }
-        for sender in self.senders.values_mut() {
-            sender.release_held();
-        }
-    }
-
-    /// Puts one frame (or one coalesced run) on the wire, possibly
-    /// dropping it — loss applies per wire write, so a dropped batch
-    /// loses all its frames at once (each recovers individually via
-    /// retransmission).
-    fn transmit(&mut self, wiring: &Wiring, to: Party, link: LinkId, seq: u64, body: Body) {
-        match &body {
-            Body::Data(_) => {
-                self.local.frames_sent += 1;
-                *self.local_batches.entry(1).or_insert(0) += 1;
-            }
-            Body::DataBatch(frames) => {
-                self.local.frames_sent += frames.len() as u64;
-                *self.local_batches.entry(frames.len()).or_insert(0) += 1;
-            }
-            _ => {}
-        }
-        if wiring.config.drop_probability > 0.0
-            && self.rng.gen_bool(wiring.config.drop_probability)
-        {
-            self.local.frames_dropped += 1;
-            return;
-        }
-        if let Some(delayer) = &wiring.delayer {
-            let jitter = wiring
-                .config
-                .link_delay
-                .mul_f64(self.rng.gen_range(0.0..=1.0));
-            let _ = delayer.send(DelayedFrame {
-                release_at: Instant::now() + jitter,
-                to,
-                link,
-                seq,
-                body,
-            });
-        } else {
-            let _ = wiring.outboxes[&to].send(ThreadMsg::Frame { link, seq, body });
-        }
-    }
-
-    /// Handles an incoming frame; returns in-order data payloads.
-    #[cfg(test)]
-    fn on_frame(&mut self, wiring: &Wiring, link: LinkId, seq: u64, body: Body) -> Vec<Frame> {
-        let mut out = Vec::new();
-        self.on_frame_into(wiring, link, seq, body, &mut out);
-        out
-    }
-
-    /// Handles an incoming frame, appending in-order data payloads to the
-    /// caller-owned `out` buffer; returns how many were appended. The
-    /// thread loops reuse one buffer across all arrivals, so the in-order
-    /// steady state processes a frame without touching the allocator.
-    fn on_frame_into(
-        &mut self,
-        wiring: &Wiring,
-        link: LinkId,
-        seq: u64,
-        body: Body,
-        out: &mut Vec<Frame>,
-    ) -> usize {
-        match body {
-            Body::Ack => {
-                if let Some(sender) = self.senders.get_mut(&link) {
-                    sender.acknowledge(seq);
-                }
-                0
-            }
-            Body::AckThrough => {
-                if let Some(sender) = self.senders.get_mut(&link) {
-                    sender.acknowledge_through(seq);
-                }
-                0
-            }
-            Body::Heartbeat => 0,
-            Body::Data(data) => {
-                let (from, _to) = wiring.links[link.0 as usize];
-                if self.defer_acks {
-                    // No ack before a snapshot covers the frame. But if
-                    // the sender is retransmitting below our snapshotted
-                    // floor (it missed the cumulative ack, or it was
-                    // restored from an old checkpoint), re-advertise it.
-                    let stale = self
-                        .receivers
-                        .get(&link)
-                        .is_some_and(|r| seq < r.next_expected());
-                    if stale {
-                        let floor = self.acked_floor.get(&link).copied().unwrap_or(0);
-                        if floor > 0 {
-                            self.transmit(wiring, from, link, floor, Body::AckThrough);
-                        }
-                    }
-                } else {
-                    // Acknowledge every data frame, duplicates included.
-                    self.transmit(wiring, from, link, seq, Body::Ack);
-                }
-                let receiver = self.receivers.entry(link).or_default();
-                let released = receiver.receive_into(seq, data, out);
-                self.local.duplicates = self
-                    .receivers
-                    .values()
-                    .map(|r| r.duplicates())
-                    .sum();
-                released
-            }
-            Body::DataBatch(frames) => {
-                if frames.is_empty() {
-                    return 0;
-                }
-                let (from, _to) = wiring.links[link.0 as usize];
-                let last = seq + frames.len() as u64 - 1;
-                if self.defer_acks {
-                    // Same stale-retransmission rule as single frames: a
-                    // whole run below our snapshotted floor means the
-                    // sender missed the cumulative ack — re-advertise it.
-                    let stale = self
-                        .receivers
-                        .get(&link)
-                        .is_some_and(|r| last < r.next_expected());
-                    if stale {
-                        let floor = self.acked_floor.get(&link).copied().unwrap_or(0);
-                        if floor > 0 {
-                            self.transmit(wiring, from, link, floor, Body::AckThrough);
-                        }
-                    }
-                }
-                let receiver = self.receivers.entry(link).or_default();
-                let released = receiver.receive_batch_into(seq, frames, out);
-                let floor = receiver.next_expected() - 1;
-                if !self.defer_acks && floor > 0 {
-                    // One cumulative ack covers the whole wire batch (and
-                    // any earlier frames it released).
-                    self.transmit(wiring, from, link, floor, Body::AckThrough);
-                }
-                self.local.duplicates = self
-                    .receivers
-                    .values()
-                    .map(|r| r.duplicates())
-                    .sum();
-                released
-            }
-        }
-    }
-
-    /// Retransmits overdue frames on all outgoing links. Runs every tick
-    /// on every thread, so the sweep goes through reusable scratch: with
-    /// nothing due — the healthy steady state — it allocates nothing.
-    fn retransmit_due(&mut self, wiring: &Wiring) {
-        let mut frames = std::mem::take(&mut self.due_frames);
-        let mut wire = std::mem::take(&mut self.due_wire);
-        for (&link, sender) in self.senders.iter_mut() {
-            frames.clear();
-            sender.due_for_retransmit_into(&mut frames);
-            for (seq, data) in frames.drain(..) {
-                wire.push((link, seq, data));
-            }
-        }
-        for (link, seq, data) in wire.drain(..) {
-            let (_, to) = wiring.links[link.0 as usize];
-            self.transmit(wiring, to, link, seq, Body::Data(data));
-        }
-        self.due_frames = frames;
-        self.due_wire = wire;
-        self.local.retransmissions = self.senders.values().map(|s| s.retransmissions()).sum();
-    }
-
-    /// Checkpoints this node's durable state into the shared snapshot
-    /// store and reports, per upstream peer, the next in-order sequence
-    /// number the snapshot recorded (sorted by peer for determinism).
-    /// The caller feeds that into [`NodeCore`] as an
-    /// [`Event::SnapshotTaken`]; the resulting [`Command::Flush`] and
-    /// [`Command::Ack`]s release staged outputs and cumulative acks — and
-    /// only then, so nothing escapes the node before a snapshot
-    /// containing it.
-    fn persist_snapshot(
-        &mut self,
-        wiring: &Wiring,
-        idx: usize,
-        protocol: &ProtocolState,
-    ) -> Vec<(Party, u64)> {
-        // Reuse the previous checkpoint's allocations: pull it out of the
-        // store, rebuild it in place, and put it back. The link set is
-        // fixed per wiring, so after the first interval the maps and
-        // per-link frame vectors are rebuilt without fresh allocation
-        // (aside from cloning the unacknowledged frames themselves).
-        let prev = wiring.snapshots.lock().remove(&idx);
-        let mut snap = prev.unwrap_or_else(|| NodeSnapshot {
-            protocol: ProtocolState::default(),
-            rx_next: HashMap::new(),
-            tx_state: HashMap::new(),
-        });
-        snap.protocol.clone_from(protocol);
-        snap.rx_next.clear();
-        for (&link, r) in &self.receivers {
-            snap.rx_next.insert(link, r.next_expected());
-        }
-        for (&link, s) in &self.senders {
-            let entry = snap.tx_state.entry(link).or_insert_with(|| (0, Vec::new()));
-            entry.1.clear();
-            entry.0 = s.snapshot_into(&mut entry.1);
-        }
-        let mut by_peer: Vec<(Party, u64)> = snap
-            .rx_next
-            .iter()
-            .map(|(&link, &next)| (wiring.links[link.0 as usize].0, next))
-            .collect();
-        wiring.snapshots.lock().insert(idx, snap);
-        by_peer.sort_unstable();
-        by_peer
-    }
-
-    /// Sends a cumulative ack to `to` covering everything through `through`
-    /// on the incoming link `to -> me`, and caches the new floor for
-    /// stale-frame re-advertisement. Executes [`Command::Ack`] — the
-    /// protocol core has already decided the floor actually advanced.
-    fn send_ack_through(&mut self, wiring: &Wiring, to: Party, through: u64) {
-        let link = wiring.link_between(to, self.me);
-        self.acked_floor.insert(link, through);
-        self.transmit(wiring, to, link, through, Body::AckThrough);
-    }
-
-    /// Rebuilds link state from a snapshot. Restored output frames are
-    /// immediately due for retransmission (the peer may never have seen
-    /// them); the acked floors match what the snapshot had advertised.
-    fn restore(&mut self, wiring: &Wiring, snap: &NodeSnapshot) {
-        for (&link, &next) in &snap.rx_next {
-            self.receivers.insert(link, LinkReceiver::resume(next));
-            self.acked_floor.insert(link, next.saturating_sub(1));
-        }
-        for (&link, (next_seq, frames)) in &snap.tx_state {
-            self.senders.insert(
-                link,
-                LinkSender::resume(
-                    wiring.config.retransmit_timeout,
-                    wiring.config.backoff_cap,
-                    *next_seq,
-                    frames.clone(),
-                ),
-            );
-        }
-    }
-
-    fn flush_stats(&self, wiring: &Wiring) {
-        let mut stats = wiring.stats.lock();
-        stats.frames_sent += self.local.frames_sent;
-        stats.frames_dropped += self.local.frames_dropped;
-        stats.retransmissions += self.local.retransmissions;
-        stats.duplicates += self.local.duplicates;
-        stats.recovery.merge(&self.local.recovery);
-        stats.heartbeat_misses += self.local.heartbeat_misses;
-        let mut sizes = wiring.batch_sizes.lock();
-        for (&size, &count) in &self.local_batches {
-            *sizes.entry(size).or_insert(0) += count;
-        }
-    }
-}
-
-/// A sequencing-node thread: processes its atoms, forwards along paths,
-/// checkpoints periodically, heartbeats its downstream peers, and watches
-/// its upstream peers for silence. `restarted` marks a post-crash
-/// incarnation that should restore the latest snapshot and account the
-/// replay it receives.
+/// A sequencing-node thread: the channel shell around one
+/// [`NodeMachine`]. Blocks on its inbox for at most one tick, feeds the
+/// machine what arrived, stores a checkpoint when the machine asks, and
+/// routes the machine's outbox. `restarted` marks a post-crash
+/// incarnation that restores the latest checkpoint from the store.
 fn node_thread(
     idx: usize,
     inbox: Receiver<ThreadMsg>,
     wiring: Arc<Wiring>,
-    seed: u64,
     kill: Arc<AtomicBool>,
     restarted: bool,
 ) {
-    let config = &wiring.config;
-    let trace = wiring.trace.clone();
-    let mut engine = LinkEngine::new(Party::Node(idx), seed, true);
-    let mut protocol = ProtocolState::new(&wiring.graph);
-    // Messages sequenced by this wiring are stamped with its epoch; a
-    // snapshot restore below overwrites this with the snapshotted epoch.
-    protocol.set_epoch(wiring.config_epoch);
-    // Group-commit mode: the core *stages* every output frame, and this
-    // driver releases them only after a snapshot records them.
-    let mut core = NodeCore::new(idx, true);
-    // Reused command buffer: the batched fast path appends into it, so
-    // after warm-up the per-frame hot loop allocates nothing.
-    let mut cmdbuf = CommandBuf::new();
-    let routing = Routing::colocated(&wiring.membership, &wiring.graph, &wiring.atom_node);
-    let started = Instant::now();
-    let mut replaying = restarted;
-    let mut replayed: u64 = 0;
-
+    let (topo, config) = (&wiring.topo, &wiring.config);
+    let mut node = NodeMachine::new(idx, topo, config, wiring.config_epoch, restarted);
     if restarted {
-        let snap = wiring.snapshots.lock().get(&idx).cloned();
-        if let Some(snap) = snap {
-            protocol = snap.protocol.clone();
-            engine.restore(&wiring, &snap);
-            // Seed the core's ack floors to match what the snapshot had
-            // advertised, so the next snapshot only acks real progress.
-            for (&link, &next) in &snap.rx_next {
-                let (from, _to) = wiring.links[link.0 as usize];
-                core.restore_floor(from, next.saturating_sub(1));
-            }
-        }
-        // No snapshot: nothing ever escaped this node (outputs and acks
-        // only leave at snapshot time), so a fresh start is consistent.
-    }
-
-    // Peers with links into this node, for heartbeat-based failure
-    // detection; peers this node heartbeats, i.e. its outgoing node links.
-    let mut watched: HashMap<usize, (Instant, bool)> = HashMap::new();
-    let mut hb_out: Vec<(Party, LinkId)> = Vec::new();
-    for (i, &(from, to)) in wiring.links.iter().enumerate() {
-        match (from, to) {
-            (Party::Node(p), Party::Node(q)) if q == idx => {
-                watched.insert(p, (Instant::now(), false));
-            }
-            (Party::Node(p), Party::Node(_)) if p == idx => {
-                hb_out.push((to, LinkId(i as u32)));
-            }
-            _ => {}
+        let checkpoint = wiring.snapshots.lock().get(&idx).cloned();
+        if let Some((protocol, links)) = checkpoint {
+            node.restore(topo, protocol, &links)
+                .expect("a node's own checkpoint names its own links");
         }
     }
+    let finish = |node: &NodeMachine| {
+        wiring.absorb(node.engine().counters(), node.engine().batch_sizes());
+        let mut stats = wiring.stats.lock();
+        stats.heartbeat_misses += node.counters().heartbeat_misses;
+        stats.recovery.merge(&node.recovery_stats());
+    };
 
     let tick = config
         .snapshot_interval
         .min(config.retransmit_timeout / 2)
         .max(Duration::from_millis(1));
-    let mut last_snapshot = Instant::now();
-    let mut last_heartbeat = Instant::now();
-    // Loop-owned scratch: the inbox batch and released-frame buffers are
-    // reused across iterations, so the steady-state receive path does not
-    // allocate. `dirty` tracks whether anything snapshot-worthy happened
-    // since the last checkpoint; identical snapshots are skipped (an idle
-    // node re-persisting the same state buys nothing and costs clones).
     let mut batch: Vec<ThreadMsg> = Vec::new();
-    let mut frames: Vec<Frame> = Vec::new();
-    let mut dirty = false;
 
     loop {
         if kill.load(Ordering::Relaxed) {
             // Simulated crash: volatile state is lost, no final snapshot.
-            engine.flush_stats(&wiring);
+            finish(&node);
             return;
         }
 
@@ -1651,7 +1012,6 @@ fn node_thread(
         // (bounded, so housekeeping still runs under flood) — a restarted
         // node chews through queued retransmissions before its first
         // checkpoint this way.
-        batch.clear();
         match inbox.recv_timeout(tick) {
             Ok(m) => batch.push(m),
             Err(RecvTimeoutError::Timeout) => {}
@@ -1667,49 +1027,8 @@ fn node_thread(
         for msg in batch.drain(..) {
             match msg {
                 ThreadMsg::Shutdown => shutdown = true,
-                ThreadMsg::Frame { link, seq, body } => {
-                    let (from, _to) = wiring.links[link.0 as usize];
-                    if let Party::Node(p) = from {
-                        if let Some(entry) = watched.get_mut(&p) {
-                            *entry = (Instant::now(), false);
-                        }
-                    }
-                    frames.clear();
-                    let released = engine.on_frame_into(&wiring, link, seq, body, &mut frames);
-                    if released == 0 {
-                        continue;
-                    }
-                    dirty = true;
-                    if replaying {
-                        replayed += released as u64;
-                    }
-                    let events = frames
-                        .drain(..)
-                        .map(|data| Event::FrameArrived { frame: data });
-                    cmdbuf.clear();
-                    if let Some(rec) = &trace {
-                        let mut sink = rec.lock().expect("trace sink poisoned");
-                        sink.now(wiring.epoch.elapsed().as_micros() as u64);
-                        core.on_events_traced(
-                            &routing,
-                            &mut protocol,
-                            events,
-                            &mut *sink,
-                            &mut cmdbuf,
-                        );
-                    } else {
-                        core.on_events(&routing, &mut protocol, events, &mut cmdbuf);
-                    }
-                    for cmd in cmdbuf.drain() {
-                        match cmd {
-                            Command::Stage { to, frame } => {
-                                engine.send_data_held(&wiring, to, frame);
-                            }
-                            other => {
-                                unreachable!("group-commit frames only stage: {other:?}")
-                            }
-                        }
-                    }
+                ThreadMsg::Frame(t) => {
+                    wiring.traced(|sink| node.on_link(topo, t.link, t.seq, t.body, sink));
                 }
             }
         }
@@ -1718,89 +1037,22 @@ fn node_thread(
         }
 
         let now = Instant::now();
-        if (dirty || !engine.staged.is_empty())
-            && now.duration_since(last_snapshot) >= config.snapshot_interval
-        {
-            let rx_next = engine.persist_snapshot(&wiring, idx, &protocol);
-            let staged_frames = engine.staged.len() as u64;
-            let event = Event::SnapshotTaken { rx_next };
-            cmdbuf.clear();
-            if let Some(rec) = &trace {
-                let mut sink = rec.lock().expect("trace sink poisoned");
-                sink.now(wiring.epoch.elapsed().as_micros() as u64);
-                core.on_events_traced(
-                    &routing,
-                    &mut protocol,
-                    std::iter::once(event),
-                    &mut *sink,
-                    &mut cmdbuf,
-                );
-            } else {
-                core.on_events(&routing, &mut protocol, std::iter::once(event), &mut cmdbuf);
-            }
-            for cmd in cmdbuf.drain() {
-                match cmd {
-                    Command::Flush => {
-                        if let Some(rec) = &trace {
-                            let mut sink = rec.lock().expect("trace sink poisoned");
-                            sink.now(wiring.epoch.elapsed().as_micros() as u64);
-                            sink.record(TraceEvent {
-                                detail: Some(staged_frames),
-                                ..TraceEvent::new(
-                                    EventKind::SnapshotFlush,
-                                    Actor::Node(idx as u64),
-                                )
-                            });
-                        }
-                        engine.flush_staged(&wiring);
-                    }
-                    Command::Ack { to, through } => {
-                        engine.send_ack_through(&wiring, to, through);
-                    }
-                    other => unreachable!("snapshots only flush and ack: {other:?}"),
-                }
-            }
-            last_snapshot = now;
-            dirty = false;
-            if replaying && replayed > 0 {
-                // Recovery complete: the replayed input is durable again.
-                replaying = false;
-                engine.local.recovery.frames_replayed += replayed;
-                replayed = 0;
-                engine.local.recovery.recovery_micros += started.elapsed().as_micros() as u64;
-            }
-        }
-        if now.duration_since(last_heartbeat) >= config.heartbeat_interval {
-            for &(to, link) in &hb_out {
-                engine.transmit(&wiring, to, link, 0, Body::Heartbeat);
-            }
-            last_heartbeat = now;
-        }
-        for (&peer, (seen, suspected)) in watched.iter_mut() {
-            if !*suspected
-                && now.duration_since(*seen)
-                    >= config.heartbeat_interval * config.heartbeat_miss_threshold
-            {
-                *suspected = true;
-                engine.local.heartbeat_misses += 1;
-                if let Some(rec) = &trace {
-                    let mut sink = rec.lock().expect("trace sink poisoned");
-                    sink.now(wiring.epoch.elapsed().as_micros() as u64);
-                    sink.record(TraceEvent {
-                        detail: Some(peer as u64),
-                        ..TraceEvent::new(
-                            EventKind::HeartbeatMiss,
-                            Actor::Node(idx as u64),
-                        )
-                    });
-                }
-            }
-        }
-        engine.retransmit_due(&wiring);
+        wiring.traced(|sink| {
+            node.snapshot(topo, now, sink, |protocol, links| {
+                // Keep the new link snapshot by swapping it with the
+                // previous checkpoint's buffers, which the machine reuses.
+                let mut store = wiring.snapshots.lock();
+                let slot = store.entry(idx).or_default();
+                slot.0.clone_from(protocol);
+                std::mem::swap(&mut slot.1, links);
+                Ok::<(), Infallible>(())
+            })
+            .unwrap_or_else(|never| match never {});
+            node.tick(topo, now, sink);
+        });
+        wiring.route(node.drain_outbox());
     }
-    engine.local.recovery.frames_replayed += replayed;
-    engine.local.recovery.merge(core.recovery_stats());
-    engine.flush_stats(&wiring);
+    finish(&node);
 }
 
 /// A subscriber-host thread: reliable link termination plus the delivery
@@ -1809,56 +1061,47 @@ fn host_thread(
     host: NodeId,
     inbox: Receiver<ThreadMsg>,
     wiring: Arc<Wiring>,
-    notes: Sender<DeliveryNote>,
-    seed: u64,
+    notes: Sender<(NodeId, Message)>,
 ) {
-    let trace = wiring.trace.clone();
-    let mut engine = LinkEngine::new(Party::Host(host), seed, false);
-    let mut receiver = ReceiverCore::new(host, &wiring.membership, &wiring.graph);
+    let topo = &wiring.topo;
+    let mut engine = LinkEngine::new(Peer::Host(host), false, &wiring.config);
+    let mut receiver = ReceiverCore::new(host, &topo.membership, &topo.graph);
     let mut cmdbuf = CommandBuf::new();
-    let tick = wiring.config.retransmit_timeout / 2;
+    let tick = (wiring.config.retransmit_timeout / 2).max(Duration::from_millis(1));
     // Reused released-frame buffer: the in-order hot path allocates
     // nothing between wire arrival and the delivery note.
     let mut frames: Vec<Frame> = Vec::new();
 
     loop {
-        let msg = match inbox.recv_timeout(tick.max(Duration::from_millis(1))) {
-            Ok(m) => Some(m),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        match msg {
-            Some(ThreadMsg::Shutdown) => break,
-            Some(ThreadMsg::Frame { link, seq, body }) => {
-                frames.clear();
-                let released = engine.on_frame_into(&wiring, link, seq, body, &mut frames);
-                if released > 0 {
-                    let events = frames
-                        .drain(..)
-                        .map(|data| Event::FrameArrived { frame: data });
-                    cmdbuf.clear();
-                    if let Some(rec) = &trace {
-                        let mut sink = rec.lock().expect("trace sink poisoned");
-                        sink.now(wiring.epoch.elapsed().as_micros() as u64);
-                        receiver.offer_batch_traced(events, &mut *sink, &mut cmdbuf);
-                    } else {
-                        receiver.offer_batch(events, &mut cmdbuf);
-                    }
+        match inbox.recv_timeout(tick) {
+            Ok(ThreadMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {}
+            Ok(ThreadMsg::Frame(t)) => {
+                if engine.on_link(topo, t.link, t.seq, t.body, &mut frames) > 0 {
+                    wiring.traced(|sink| {
+                        for frame in frames.drain(..) {
+                            receiver.on_event_into(
+                                Event::FrameArrived { frame },
+                                sink,
+                                &mut cmdbuf,
+                            );
+                        }
+                    });
                     for cmd in cmdbuf.drain() {
                         match cmd {
                             Command::Deliver { host, msg } => {
-                                let _ = notes.send(DeliveryNote { host, msg });
+                                let _ = notes.send((host, msg));
                             }
                             other => unreachable!("receivers only deliver: {other:?}"),
                         }
                     }
                 }
             }
-            None => {}
         }
-        engine.retransmit_due(&wiring);
+        engine.retransmit_due(topo);
+        wiring.route(engine.drain_outbox());
     }
-    engine.flush_stats(&wiring);
+    wiring.absorb(engine.counters(), engine.batch_sizes());
 }
 
 #[cfg(test)]
@@ -1952,86 +1195,64 @@ mod tests {
         assert_eq!(cluster.stats().frames_dropped, 0);
     }
 
-    #[test]
-    fn overlap_members_agree_on_order() {
-        let m = overlapped_membership();
-        let mut cluster = Cluster::start(&m, ClusterConfig::default());
-        let mut published = 0usize;
-        for i in 0..8u32 {
+    /// Publishes `count` messages alternating between the two groups.
+    fn publish_alternating(cluster: &mut Cluster, count: u32) {
+        for i in 0..count {
             let (s, grp) = if i % 2 == 0 { (n(0), g(0)) } else { (n(3), g(1)) };
             cluster.publish(s, grp, vec![i as u8]).unwrap();
-            published += 3; // both groups have three members
         }
+    }
+
+    /// Starts a cluster under `config`, runs `count` alternating publishes
+    /// to completion, and checks that the two overlap members saw all of
+    /// them in one order. Returns the cluster, shut down, for its stats.
+    fn agreeing_run(config: ClusterConfig, count: u32, timeout: Duration) -> Cluster {
+        let mut cluster = Cluster::start(&overlapped_membership(), config);
+        publish_alternating(&mut cluster, count);
         let deliveries = cluster
-            .wait_for_deliveries(published, Duration::from_secs(5))
+            .wait_for_deliveries(3 * count as usize, timeout)
             .unwrap();
         let order = |node: NodeId| -> Vec<MessageId> {
             deliveries[&node].iter().map(|m| m.id).collect()
         };
-        assert_eq!(order(n(1)), order(n(2)), "overlap members agree");
-        assert_eq!(order(n(1)).len(), 8);
+        assert_eq!(order(n(1)), order(n(2)), "overlap members must agree");
+        assert_eq!(order(n(1)).len(), count as usize);
         cluster.shutdown();
+        cluster
+    }
+
+    #[test]
+    fn overlap_members_agree_on_order() {
+        let cluster = agreeing_run(ClusterConfig::default(), 8, Duration::from_secs(5));
+        assert_eq!(cluster.stats().frames_dropped, 0);
     }
 
     #[test]
     fn lossy_links_recover_via_retransmission() {
-        let m = overlapped_membership();
         let config = ClusterConfig {
             drop_probability: 0.3,
             retransmit_timeout: Duration::from_millis(5),
             seed: 42,
             ..ClusterConfig::default()
         };
-        let mut cluster = Cluster::start(&m, config);
-        let mut expected = 0usize;
-        for i in 0..6u32 {
-            let (s, grp) = if i % 2 == 0 { (n(0), g(0)) } else { (n(3), g(1)) };
-            cluster.publish(s, grp, vec![i as u8]).unwrap();
-            expected += 3;
-        }
-        let deliveries = cluster
-            .wait_for_deliveries(expected, Duration::from_secs(30))
-            .unwrap();
-        assert_eq!(
-            deliveries[&n(1)].iter().map(|m| m.id).collect::<Vec<_>>(),
-            deliveries[&n(2)].iter().map(|m| m.id).collect::<Vec<_>>(),
-            "loss and retransmission must not break the order"
-        );
-        cluster.shutdown();
-        let stats = cluster.stats();
+        let stats = agreeing_run(config, 6, Duration::from_secs(30)).stats();
         assert!(stats.frames_dropped > 0, "loss injector actually fired");
         assert!(stats.retransmissions > 0, "retransmission actually fired");
     }
 
     #[test]
     fn coalesced_flushes_preserve_delivery_order() {
-        let m = overlapped_membership();
         let config = ClusterConfig {
             coalesce: true,
             ..ClusterConfig::default()
         };
-        let mut cluster = Cluster::start(&m, config);
-        let mut published = 0usize;
-        for i in 0..8u32 {
-            let (s, grp) = if i % 2 == 0 { (n(0), g(0)) } else { (n(3), g(1)) };
-            cluster.publish(s, grp, vec![i as u8]).unwrap();
-            published += 3;
-        }
-        let deliveries = cluster
-            .wait_for_deliveries(published, Duration::from_secs(5))
-            .unwrap();
-        let order = |node: NodeId| -> Vec<MessageId> {
-            deliveries[&node].iter().map(|m| m.id).collect()
-        };
-        assert_eq!(order(n(1)), order(n(2)), "coalescing must not reorder");
-        assert_eq!(order(n(1)).len(), 8);
-        cluster.shutdown();
+        let cluster = agreeing_run(config, 8, Duration::from_secs(5));
         assert_eq!(cluster.stats().frames_dropped, 0);
     }
 
     #[test]
     fn coalesced_lossy_links_recover_via_retransmission() {
-        let m = overlapped_membership();
+        // A dropped batch must recover frame by frame without reordering.
         let config = ClusterConfig {
             coalesce: true,
             drop_probability: 0.3,
@@ -2039,22 +1260,7 @@ mod tests {
             seed: 42,
             ..ClusterConfig::default()
         };
-        let mut cluster = Cluster::start(&m, config);
-        let mut expected = 0usize;
-        for i in 0..6u32 {
-            let (s, grp) = if i % 2 == 0 { (n(0), g(0)) } else { (n(3), g(1)) };
-            cluster.publish(s, grp, vec![i as u8]).unwrap();
-            expected += 3;
-        }
-        let deliveries = cluster
-            .wait_for_deliveries(expected, Duration::from_secs(30))
-            .unwrap();
-        assert_eq!(
-            deliveries[&n(1)].iter().map(|m| m.id).collect::<Vec<_>>(),
-            deliveries[&n(2)].iter().map(|m| m.id).collect::<Vec<_>>(),
-            "a dropped batch must recover frame by frame without reordering"
-        );
-        cluster.shutdown();
+        let cluster = agreeing_run(config, 6, Duration::from_secs(30));
         assert!(cluster.stats().frames_dropped > 0, "loss injector fired");
     }
 
@@ -2336,10 +1542,7 @@ mod tests {
             SimTime::from_micros(5_000),
             SimTime::from_micros(40_000),
         );
-        for i in 0..4u32 {
-            let (s, grp) = if i % 2 == 0 { (n(0), g(0)) } else { (n(3), g(1)) };
-            cluster.publish(s, grp, vec![i as u8]).unwrap();
-        }
+        publish_alternating(&mut cluster, 4);
         cluster.run_fault_plan(&plan);
         let deliveries = cluster
             .wait_for_deliveries(12, Duration::from_secs(10))
@@ -2352,18 +1555,6 @@ mod tests {
         );
         cluster.shutdown();
         assert_eq!(cluster.stats().recovery.crashes, 1);
-    }
-}
-
-#[cfg(test)]
-mod delay_tests {
-    use super::*;
-
-    fn n(i: u32) -> NodeId {
-        NodeId(i)
-    }
-    fn g(i: u32) -> GroupId {
-        GroupId(i)
     }
 
     #[test]

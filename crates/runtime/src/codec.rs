@@ -215,16 +215,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes one protocol frame from the front of `buf`, advancing it past
-/// the consumed bytes. Used by the disk snapshot codec, which shares the
-/// wire frame layout.
-pub fn take_frame(buf: &mut &[u8]) -> Result<Frame, CodecError> {
-    let mut r = Reader::new(buf);
-    let f = r.frame()?;
-    *buf = &buf[r.consumed()..];
-    Ok(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,10 +238,10 @@ mod tests {
         let mut buf = Vec::new();
         put_frame(&mut buf, &sample_frame(7));
         put_frame(&mut buf, &sample_frame(8));
-        let mut rest = buf.as_slice();
-        assert_eq!(take_frame(&mut rest).unwrap(), sample_frame(7));
-        assert_eq!(take_frame(&mut rest).unwrap(), sample_frame(8));
-        assert!(rest.is_empty());
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.frame().unwrap(), sample_frame(7));
+        assert_eq!(r.frame().unwrap(), sample_frame(8));
+        assert_eq!(r.done(), Ok(()));
     }
 
     #[test]
@@ -259,8 +249,8 @@ mod tests {
         let mut buf = Vec::new();
         put_frame(&mut buf, &sample_frame(7));
         for cut in 0..buf.len() {
-            let mut rest = &buf[..cut];
-            assert!(take_frame(&mut rest).is_err(), "prefix of {cut} bytes");
+            let mut r = Reader::new(&buf[..cut]);
+            assert!(r.frame().is_err(), "prefix of {cut} bytes");
         }
     }
 
@@ -274,9 +264,8 @@ mod tests {
         put_u64(&mut buf, 0);
         put_u64(&mut buf, 0);
         put_u32(&mut buf, (MAX_COUNT as u32) + 1);
-        let mut rest = buf.as_slice();
         assert_eq!(
-            take_frame(&mut rest),
+            Reader::new(&buf).frame(),
             Err(CodecError::Garbled("implausible element count"))
         );
     }

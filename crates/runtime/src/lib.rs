@@ -21,6 +21,14 @@
 //!   heartbeat each other for failure detection, and publishes are retried
 //!   with capped exponential backoff until durably sequenced.
 //!
+//! None of that logic is tied to threads. It lives in sans-I/O machines —
+//! [`LinkEngine`] (one party's end of every link), [`NodeMachine`] (the
+//! sequencing-node step), [`Topology`] (the link table) and
+//! [`PublishFront`] (ids and the reconfiguration ledger) — which turn
+//! arrivals and ticks into an outbox of [`Transmission`]s. [`Cluster`] is
+//! the shell that carries that outbox over channels; `seqnet-deploy` is
+//! the one that carries it over TCP between processes.
+//!
 //! # Example
 //!
 //! ```
@@ -46,9 +54,19 @@
 
 mod cluster;
 pub mod codec;
+mod engine;
+mod front;
 mod link;
+mod node;
+mod topo;
 
 pub use cluster::{Cluster, ClusterConfig, RuntimeError, RuntimeStats};
 pub use codec::CodecError;
+pub use engine::{
+    LinkBody, LinkCounters, LinkEngine, LinkSnapshot, Transmission, TxLinkSnapshot, UnknownLink,
+};
+pub use front::{PendingReconfig, PublishFront};
 pub use link::{LinkReceiver, LinkSender};
+pub use node::{NodeCounters, NodeMachine};
+pub use topo::Topology;
 pub use seqnet_sim::FaultPlan;

@@ -12,7 +12,7 @@
 //! channel the protocol assumes.
 //!
 //! The sender's retransmission buffer doubles as the recovery log for a
-//! crashed peer: [`LinkSender::snapshot`] / [`LinkSender::resume`] and
+//! crashed peer: [`LinkSender::snapshot_into`] / [`LinkSender::resume`] and
 //! [`LinkReceiver::resume`] let a node checkpoint both halves of every
 //! link and rebuild them after a restart, while
 //! [`LinkSender::acknowledge_through`] lets the recovering side confirm a
@@ -49,10 +49,12 @@ struct Pending<T> {
 /// let mut rx = LinkReceiver::<&str>::new();
 /// let (seq1, _) = tx.send("a");
 /// let (seq2, payload2) = tx.send("b");
+/// // Released payloads land in a buffer the caller owns and reuses.
+/// let mut out = Vec::new();
 /// // "a" is lost in transit; "b" arrives first and is buffered.
-/// assert!(rx.receive(seq2, payload2).is_empty());
+/// assert_eq!(rx.receive_into(seq2, payload2, &mut out), 0);
 /// // The retransmitted "a" releases both, in order.
-/// let out = rx.receive(seq1, "a");
+/// assert_eq!(rx.receive_into(seq1, "a", &mut out), 2);
 /// assert_eq!(out, vec!["a", "b"]);
 /// // One cumulative ack clears the whole prefix.
 /// tx.acknowledge_through(seq2);
@@ -123,8 +125,9 @@ impl<T: Clone> LinkSender<T> {
     }
 
     /// Registers a payload but *holds* it: the frame owns a sequence
-    /// number and appears in [`snapshot`](Self::snapshot), yet is exempt
-    /// from retransmission until [`release_held`](Self::release_held).
+    /// number and appears in [`snapshot_into`](Self::snapshot_into), yet is exempt
+    /// from retransmission until
+    /// [`release_held_wire`](Self::release_held_wire).
     /// Used to keep output frames from escaping a node before the
     /// snapshot that contains them is taken.
     pub fn send_held(&mut self, payload: T) -> (u64, T) {
@@ -147,71 +150,26 @@ impl<T: Clone> LinkSender<T> {
     }
 
     /// Releases all held frames into the normal retransmission schedule,
-    /// restarting their timers from now.
-    pub fn release_held(&mut self) {
-        let now = Instant::now();
-        for pending in self.unacked.values_mut() {
-            if pending.held {
-                pending.held = false;
-                pending.interval = self.timeout;
-                pending.next_due = now + self.timeout;
-            }
-        }
-    }
-
-    /// [`release_held`](Self::release_held) with frame coalescing: the
-    /// released frames come back grouped into maximal runs of consecutive
-    /// sequence numbers, each run `(first_seq, payloads)` meant to go on
-    /// the wire as **one** write instead of one per frame. Under the
-    /// group-commit discipline every data frame between two flushes is
-    /// held, so in practice a flush yields a single run per link.
+    /// restarting their timers from now, and hands them back for the
+    /// wire, grouped into maximal runs of consecutive
+    /// sequence numbers, split by wire shape — a run of one is appended to
+    /// `singles` as a bare `(seq, payload)` pair, a longer run to `runs`
+    /// as `(first_seq, payloads)`, meant to go on the wire as **one**
+    /// write instead of one per frame. Both buffers are caller-owned and
+    /// filled in sequence order within themselves. Under the group-commit
+    /// discipline every data frame between two flushes is held, so in
+    /// practice a flush yields a single run per link.
     ///
     /// Coalescing changes transport framing only: each frame keeps its
     /// own sequence number, retransmission entry, and backoff schedule
     /// (retransmissions go out individually), and cumulative
     /// [`acknowledge_through`](Self::acknowledge_through) covers a run
     /// exactly as it covers singles.
-    pub fn release_held_coalesced(&mut self) -> Vec<(u64, Vec<T>)> {
-        let mut runs = Vec::new();
-        self.release_held_coalesced_into(&mut runs);
-        runs
-    }
-
-    /// [`release_held_coalesced`](Self::release_held_coalesced) against a
-    /// caller-owned buffer (the PR 5 `CommandBuf` discipline extended to
-    /// the link layer): appends the runs to `runs`, reusing its capacity
-    /// across flushes. Only the per-run payload vectors — which leave by
-    /// value as wire writes — are freshly allocated.
-    pub fn release_held_coalesced_into(&mut self, runs: &mut Vec<(u64, Vec<T>)>) {
-        let now = Instant::now();
-        let mut prev_seq: Option<u64> = None;
-        for (&seq, pending) in self.unacked.iter_mut() {
-            if !pending.held {
-                continue;
-            }
-            pending.held = false;
-            pending.interval = self.timeout;
-            pending.next_due = now + self.timeout;
-            match (prev_seq, runs.last_mut()) {
-                (Some(prev), Some((_, run))) if seq == prev + 1 => {
-                    run.push(pending.payload.clone());
-                }
-                _ => runs.push((seq, vec![pending.payload.clone()])),
-            }
-            prev_seq = Some(seq);
-        }
-    }
-
-    /// [`release_held_coalesced`](Self::release_held_coalesced) split by
-    /// wire shape: runs of length one are appended to `singles` as bare
-    /// `(seq, payload)` pairs, longer runs to `runs`. Both buffers are
-    /// caller-owned and emitted in sequence order within themselves.
     ///
-    /// This is the transmit-side fast path. At low offered load nearly
-    /// every flush releases exactly one frame per link, and boxing that
-    /// frame in a one-element vector would make the allocator part of
-    /// the per-message steady state; multi-frame runs pay one vector
-    /// each, amortized across their frames.
+    /// At low offered load nearly every flush releases exactly one frame
+    /// per link, and boxing that frame in a one-element vector would make
+    /// the allocator part of the per-message steady state; multi-frame
+    /// runs pay one vector each, amortized across their frames.
     pub fn release_held_wire(
         &mut self,
         singles: &mut Vec<(u64, T)>,
@@ -277,26 +235,14 @@ impl<T: Clone> LinkSender<T> {
         }
     }
 
-    /// Returns the frames due for retransmission (unacknowledged past
-    /// their per-frame backoff deadline), doubling each one's interval up
-    /// to the cap and rescheduling it.
-    pub fn due_for_retransmit(&mut self) -> Vec<(u64, T)> {
-        self.due_at(Instant::now())
-    }
-
-    /// [`due_for_retransmit`](Self::due_for_retransmit) against a
-    /// caller-owned buffer: appends the due frames to `due`. The common
-    /// case — a healthy link with nothing due — touches the allocator not
-    /// at all, which matters because every node polls every sender each
-    /// tick.
+    /// Appends the frames due for retransmission (unacknowledged past
+    /// their per-frame backoff deadline) to the caller-owned `due`,
+    /// doubling each one's interval up to the cap and rescheduling it.
+    /// The common case — a healthy link with nothing due — touches the
+    /// allocator not at all, which matters because every party polls
+    /// every sender each tick.
     pub fn due_for_retransmit_into(&mut self, due: &mut Vec<(u64, T)>) {
         self.due_at_into(Instant::now(), due);
-    }
-
-    fn due_at(&mut self, now: Instant) -> Vec<(u64, T)> {
-        let mut due = Vec::new();
-        self.due_at_into(now, &mut due);
-        due
     }
 
     fn due_at_into(&mut self, now: Instant, due: &mut Vec<(u64, T)>) {
@@ -359,18 +305,10 @@ impl<T: Clone> LinkSender<T> {
         self.retransmissions
     }
 
-    /// Exports the durable sender state for a checkpoint: the next fresh
-    /// sequence number plus every unacknowledged frame (held frames
-    /// included — that is the point), in sequence order.
-    pub fn snapshot(&self) -> (u64, Vec<(u64, T)>) {
-        let mut frames = Vec::new();
-        let next = self.snapshot_into(&mut frames);
-        (next, frames)
-    }
-
-    /// [`snapshot`](Self::snapshot) against a caller-owned buffer:
-    /// appends the unacknowledged frames to `frames` and returns the next
-    /// fresh sequence number. Lets a periodic checkpointer reuse one
+    /// Exports the durable sender state for a checkpoint: appends every
+    /// unacknowledged frame (held frames included — that is the point),
+    /// in sequence order, to the caller-owned `frames` and returns the
+    /// next fresh sequence number. Lets a periodic checkpointer reuse one
     /// buffer per link instead of allocating a vector every interval.
     pub fn snapshot_into(&self, frames: &mut Vec<(u64, T)>) -> u64 {
         frames.extend(
@@ -414,21 +352,13 @@ impl<T> LinkReceiver<T> {
         }
     }
 
-    /// Accepts a frame; returns the payloads that become releasable, in
-    /// FIFO order. Duplicates (already released or already buffered) are
+    /// Accepts a frame: appends the payloads that become releasable, in
+    /// FIFO order, to the caller-owned `out` and returns how many were
+    /// appended. Duplicates (already released or already buffered) are
     /// counted and dropped; the caller should still acknowledge them so
-    /// the sender stops retransmitting.
-    pub fn receive(&mut self, seq: u64, payload: T) -> Vec<T> {
-        let mut out = Vec::new();
-        self.receive_into(seq, payload, &mut out);
-        out
-    }
-
-    /// [`receive`](Self::receive) against a caller-owned buffer: appends
-    /// releasable payloads to `out` and returns how many were appended.
-    /// In-order arrivals — the steady state of a healthy link — bypass
-    /// the reorder buffer entirely, so the hot path performs no
-    /// allocation and no `BTreeMap` traffic.
+    /// the sender stops retransmitting. In-order arrivals — the steady
+    /// state of a healthy link — bypass the reorder buffer entirely, so
+    /// the hot path performs no allocation and no `BTreeMap` traffic.
     pub fn receive_into(&mut self, seq: u64, payload: T, out: &mut Vec<T>) -> usize {
         if seq < self.next_expected || self.buffer.contains_key(&seq) {
             self.duplicates += 1;
@@ -452,24 +382,13 @@ impl<T> LinkReceiver<T> {
 
     /// Accepts a coalesced run of frames carrying consecutive sequence
     /// numbers starting at `first_seq` (the unit
-    /// [`LinkSender::release_held_coalesced`] puts on the wire) and
-    /// returns the payloads that become releasable, in FIFO order.
-    /// Exactly equivalent to calling [`receive`](Self::receive) once per
-    /// frame; per-frame duplicate detection still applies, so a partially
-    /// retransmitted run is deduplicated frame by frame.
-    pub fn receive_batch(
-        &mut self,
-        first_seq: u64,
-        payloads: impl IntoIterator<Item = T>,
-    ) -> Vec<T> {
-        let mut out = Vec::new();
-        self.receive_batch_into(first_seq, payloads, &mut out);
-        out
-    }
-
-    /// [`receive_batch`](Self::receive_batch) against a caller-owned
-    /// buffer: appends releasable payloads to `out` and returns how many
-    /// were appended.
+    /// [`LinkSender::release_held_wire`] puts on the wire): appends the
+    /// payloads that become releasable, in FIFO order, to the caller-owned
+    /// `out` and returns how many were appended. Exactly equivalent to
+    /// calling [`receive_into`](Self::receive_into) once per frame;
+    /// per-frame duplicate detection still applies, so a partially
+    /// retransmitted run is deduplicated frame by frame. The caller
+    /// guarantees `first_seq + len - 1` does not overflow.
     pub fn receive_batch_into(
         &mut self,
         first_seq: u64,
@@ -506,11 +425,52 @@ impl<T> LinkReceiver<T> {
 mod tests {
     use super::*;
 
+    // `Vec`-returning conveniences over the caller-buffer API.
+    fn recv<T>(rx: &mut LinkReceiver<T>, seq: u64, payload: T) -> Vec<T> {
+        let mut out = Vec::new();
+        rx.receive_into(seq, payload, &mut out);
+        out
+    }
+
+    fn recv_batch<T>(
+        rx: &mut LinkReceiver<T>,
+        first_seq: u64,
+        payloads: impl IntoIterator<Item = T>,
+    ) -> Vec<T> {
+        let mut out = Vec::new();
+        rx.receive_batch_into(first_seq, payloads, &mut out);
+        out
+    }
+
+    fn due<T: Clone>(tx: &mut LinkSender<T>) -> Vec<(u64, T)> {
+        due_at(tx, Instant::now())
+    }
+
+    fn due_at<T: Clone>(tx: &mut LinkSender<T>, now: Instant) -> Vec<(u64, T)> {
+        let mut due = Vec::new();
+        tx.due_at_into(now, &mut due);
+        due
+    }
+
+    fn snapshot<T: Clone>(tx: &LinkSender<T>) -> (u64, Vec<(u64, T)>) {
+        let mut frames = Vec::new();
+        let next = tx.snapshot_into(&mut frames);
+        (next, frames)
+    }
+
+    /// Releases the held frames as `(singles, runs)`.
+    #[allow(clippy::type_complexity)]
+    fn release_wire<T: Clone>(tx: &mut LinkSender<T>) -> (Vec<(u64, T)>, Vec<(u64, Vec<T>)>) {
+        let (mut singles, mut runs) = (Vec::new(), Vec::new());
+        tx.release_held_wire(&mut singles, &mut runs);
+        (singles, runs)
+    }
+
     #[test]
     fn in_order_stream_passes_through() {
         let mut rx = LinkReceiver::new();
-        assert_eq!(rx.receive(1, "a"), vec!["a"]);
-        assert_eq!(rx.receive(2, "b"), vec!["b"]);
+        assert_eq!(recv(&mut rx, 1, "a"), vec!["a"]);
+        assert_eq!(recv(&mut rx, 2, "b"), vec!["b"]);
         assert_eq!(rx.pending(), 0);
         assert_eq!(rx.next_expected(), 3);
     }
@@ -518,19 +478,19 @@ mod tests {
     #[test]
     fn reordering_is_fixed() {
         let mut rx = LinkReceiver::new();
-        assert!(rx.receive(3, "c").is_empty());
-        assert!(rx.receive(2, "b").is_empty());
+        assert!(recv(&mut rx, 3, "c").is_empty());
+        assert!(recv(&mut rx, 2, "b").is_empty());
         assert_eq!(rx.pending(), 2);
-        assert_eq!(rx.receive(1, "a"), vec!["a", "b", "c"]);
+        assert_eq!(recv(&mut rx, 1, "a"), vec!["a", "b", "c"]);
     }
 
     #[test]
     fn duplicates_dropped_and_counted() {
         let mut rx = LinkReceiver::new();
-        assert_eq!(rx.receive(1, "a"), vec!["a"]);
-        assert!(rx.receive(1, "a").is_empty(), "already released");
-        assert!(rx.receive(3, "c").is_empty());
-        assert!(rx.receive(3, "c").is_empty(), "already buffered");
+        assert_eq!(recv(&mut rx, 1, "a"), vec!["a"]);
+        assert!(recv(&mut rx, 1, "a").is_empty(), "already released");
+        assert!(recv(&mut rx, 3, "c").is_empty());
+        assert!(recv(&mut rx, 3, "c").is_empty(), "already buffered");
         assert_eq!(rx.duplicates(), 2);
     }
 
@@ -540,12 +500,11 @@ mod tests {
         let (s1, _) = tx.send("x");
         assert_eq!(tx.unacked(), 1);
         std::thread::sleep(Duration::from_millis(2));
-        let due = tx.due_for_retransmit();
-        assert_eq!(due, vec![(s1, "x")]);
+        assert_eq!(due(&mut tx), vec![(s1, "x")]);
         assert_eq!(tx.retransmissions(), 1);
         tx.acknowledge(s1);
         std::thread::sleep(Duration::from_millis(2));
-        assert!(tx.due_for_retransmit().is_empty(), "acked frames stay quiet");
+        assert!(due(&mut tx).is_empty(), "acked frames stay quiet");
     }
 
     #[test]
@@ -557,17 +516,17 @@ mod tests {
         let (s1, _) = tx.send_inner("x", base, false);
 
         // Not due before the initial timeout elapses.
-        assert!(tx.due_at(base + ms(9)).is_empty());
+        assert!(due_at(&mut tx, base + ms(9)).is_empty());
         // First retransmit at +10ms; interval doubles to 20ms.
-        assert_eq!(tx.due_at(base + ms(10)), vec![(s1, "x")]);
-        assert!(tx.due_at(base + ms(29)).is_empty());
+        assert_eq!(due_at(&mut tx, base + ms(10)), vec![(s1, "x")]);
+        assert!(due_at(&mut tx, base + ms(29)).is_empty());
         // Second at +30ms; interval doubles to 40ms (the cap).
-        assert_eq!(tx.due_at(base + ms(30)), vec![(s1, "x")]);
-        assert!(tx.due_at(base + ms(69)).is_empty());
+        assert_eq!(due_at(&mut tx, base + ms(30)), vec![(s1, "x")]);
+        assert!(due_at(&mut tx, base + ms(69)).is_empty());
         // Third at +70ms; interval stays pinned at the 40ms cap.
-        assert_eq!(tx.due_at(base + ms(70)), vec![(s1, "x")]);
-        assert!(tx.due_at(base + ms(109)).is_empty());
-        assert_eq!(tx.due_at(base + ms(110)), vec![(s1, "x")]);
+        assert_eq!(due_at(&mut tx, base + ms(70)), vec![(s1, "x")]);
+        assert!(due_at(&mut tx, base + ms(109)).is_empty());
+        assert_eq!(due_at(&mut tx, base + ms(110)), vec![(s1, "x")]);
         assert_eq!(tx.retransmissions(), 4);
     }
 
@@ -577,9 +536,9 @@ mod tests {
         let ms = Duration::from_millis;
         let mut tx = LinkSender::new(ms(10));
         let (s1, _) = tx.send_inner("x", base, false);
-        assert_eq!(tx.due_at(base + ms(10)), vec![(s1, "x")]);
-        assert_eq!(tx.due_at(base + ms(20)), vec![(s1, "x")]);
-        assert_eq!(tx.due_at(base + ms(30)), vec![(s1, "x")]);
+        assert_eq!(due_at(&mut tx, base + ms(10)), vec![(s1, "x")]);
+        assert_eq!(due_at(&mut tx, base + ms(20)), vec![(s1, "x")]);
+        assert_eq!(due_at(&mut tx, base + ms(30)), vec![(s1, "x")]);
         assert_eq!(tx.retransmissions(), 3);
     }
 
@@ -587,8 +546,8 @@ mod tests {
     fn zero_timeout_is_always_due() {
         let mut tx = LinkSender::new(Duration::ZERO);
         let (s1, _) = tx.send("x");
-        assert_eq!(tx.due_for_retransmit(), vec![(s1, "x")]);
-        assert_eq!(tx.due_for_retransmit(), vec![(s1, "x")]);
+        assert_eq!(due(&mut tx), vec![(s1, "x")]);
+        assert_eq!(due(&mut tx), vec![(s1, "x")]);
     }
 
     #[test]
@@ -599,7 +558,7 @@ mod tests {
         }
         tx.acknowledge_through(4);
         assert_eq!(tx.unacked(), 2);
-        let (_, frames) = tx.snapshot();
+        let (_, frames) = snapshot(&tx);
         let seqs: Vec<u64> = frames.iter().map(|&(s, _)| s).collect();
         assert_eq!(seqs, vec![5, 6]);
         tx.acknowledge_through(u64::MAX);
@@ -610,16 +569,13 @@ mod tests {
     fn held_frames_skip_retransmission_until_released() {
         let mut tx = LinkSender::new(Duration::ZERO);
         let (s1, _) = tx.send_held("staged");
-        assert!(
-            tx.due_for_retransmit().is_empty(),
-            "held frames must not escape"
-        );
+        assert!(due(&mut tx).is_empty(), "held frames must not escape");
         // Held frames still appear in snapshots.
-        let (next_seq, frames) = tx.snapshot();
+        let (next_seq, frames) = snapshot(&tx);
         assert_eq!(next_seq, 2);
         assert_eq!(frames, vec![(s1, "staged")]);
-        tx.release_held();
-        assert_eq!(tx.due_for_retransmit(), vec![(s1, "staged")]);
+        release_wire(&mut tx);
+        assert_eq!(due(&mut tx), vec![(s1, "staged")]);
     }
 
     #[test]
@@ -630,13 +586,13 @@ mod tests {
         tx.send("b");
         tx.send("c");
         tx.acknowledge(1);
-        let (next_seq, frames) = tx.snapshot();
+        let (next_seq, frames) = snapshot(&tx);
         assert_eq!(next_seq, 4);
 
         let mut revived = LinkSender::resume(Duration::ZERO, Duration::ZERO, next_seq, frames);
         assert_eq!(revived.unacked(), 2);
         // Restored frames are immediately due.
-        assert_eq!(revived.due_for_retransmit(), vec![(2, "b"), (3, "c")]);
+        assert_eq!(due(&mut revived), vec![(2, "b"), (3, "c")]);
         // Fresh sends continue the sequence space.
         assert_eq!(revived.send("d").0, 4);
     }
@@ -644,10 +600,10 @@ mod tests {
     #[test]
     fn receiver_resume_treats_prefix_as_released() {
         let mut rx = LinkReceiver::resume(3);
-        assert!(rx.receive(1, "a").is_empty());
-        assert!(rx.receive(2, "b").is_empty());
+        assert!(recv(&mut rx, 1, "a").is_empty());
+        assert!(recv(&mut rx, 2, "b").is_empty());
         assert_eq!(rx.duplicates(), 2);
-        assert_eq!(rx.receive(3, "c"), vec!["c"]);
+        assert_eq!(recv(&mut rx, 3, "c"), vec!["c"]);
         assert_eq!(rx.next_expected(), 4);
     }
 
@@ -671,13 +627,14 @@ mod tests {
         for payload in ["a", "b", "c"] {
             tx.send_held(payload);
         }
-        let runs = tx.release_held_coalesced();
+        let (singles, runs) = release_wire(&mut tx);
+        assert!(singles.is_empty());
         assert_eq!(runs, vec![(1, vec!["a", "b", "c"])]);
         assert_eq!(tx.unacked(), 3, "frames stay individually tracked");
 
         let mut rx = LinkReceiver::new();
         let (first, payloads) = runs.into_iter().next().unwrap();
-        assert_eq!(rx.receive_batch(first, payloads), vec!["a", "b", "c"]);
+        assert_eq!(recv_batch(&mut rx, first, payloads), vec!["a", "b", "c"]);
         assert_eq!(rx.next_expected(), 4);
     }
 
@@ -689,34 +646,36 @@ mod tests {
         for payload in ["a", "b", "c"] {
             tx.send_held(payload);
         }
-        let runs = tx.release_held_coalesced();
+        let (_, runs) = release_wire(&mut tx);
         let (first, payloads) = runs.into_iter().next().unwrap();
         let last = first + payloads.len() as u64 - 1;
         tx.send("d"); // next flush window, not covered by the run's ack
 
         let mut rx = LinkReceiver::new();
-        rx.receive_batch(first, payloads);
+        recv_batch(&mut rx, first, payloads);
         // The receiver's cumulative floor lands exactly on the run
         // boundary, and acking through it clears the run and nothing else.
         assert_eq!(rx.next_expected() - 1, last);
         tx.acknowledge_through(rx.next_expected() - 1);
         assert_eq!(tx.unacked(), 1);
-        let (_, frames) = tx.snapshot();
+        let (_, frames) = snapshot(&tx);
         assert_eq!(frames, vec![(4, "d")]);
     }
 
     #[test]
     fn interleaved_singles_split_coalesced_runs() {
         // A non-held send between two held groups breaks seq adjacency,
-        // so the release yields two runs rather than one bogus span.
+        // so the release yields a run and a bare single rather than one
+        // bogus span.
         let mut tx = LinkSender::new(Duration::from_secs(1));
         tx.send_held("a");
         tx.send_held("b");
         let (s3, _) = tx.send("solo");
         tx.acknowledge(s3);
         tx.send_held("c");
-        let runs = tx.release_held_coalesced();
-        assert_eq!(runs, vec![(1, vec!["a", "b"]), (4, vec!["c"])]);
+        let (singles, runs) = release_wire(&mut tx);
+        assert_eq!(runs, vec![(1, vec!["a", "b"])]);
+        assert_eq!(singles, vec![(4, "c")], "a run of one stays unboxed");
     }
 
     #[test]
@@ -729,58 +688,57 @@ mod tests {
         for payload in ["a", "b", "c"] {
             tx.send_held(payload);
         }
-        let runs = tx.release_held_coalesced();
-        assert_eq!(runs.len(), 1, "one wire write");
+        let (singles, runs) = release_wire(&mut tx);
+        assert_eq!((singles.len(), runs.len()), (0, 1), "one wire write");
         // ...which the network drops. Snapshot after the flush.
-        let (next_seq, frames) = tx.snapshot();
+        let (next_seq, frames) = snapshot(&tx);
         assert_eq!(frames.len(), 3, "whole run in the snapshot");
         drop(tx);
 
         let mut revived = LinkSender::resume(Duration::ZERO, Duration::ZERO, next_seq, frames);
         let mut rx = LinkReceiver::new();
         let mut released = Vec::new();
-        for (seq, payload) in revived.due_for_retransmit() {
-            released.extend(rx.receive(seq, payload));
+        for (seq, payload) in due(&mut revived) {
+            released.extend(recv(&mut rx, seq, payload));
         }
         assert_eq!(released, vec!["a", "b", "c"]);
         assert_eq!(revived.send("d").0, 4, "sequence space continues");
     }
 
     #[test]
-    fn coalesced_release_restarts_backoff_like_release_held() {
-        // Backoff interaction: releasing via the coalescing path arms the
-        // same per-frame schedule as release_held — first retry after the
-        // base timeout, then doubling per frame up to the cap.
+    fn release_restarts_each_frames_backoff() {
+        // Backoff interaction: a release arms the per-frame schedule of a
+        // fresh send — first retry after the base timeout, then doubling
+        // per frame up to the cap.
         let base = Instant::now();
         let ms = Duration::from_millis;
         let mut tx = LinkSender::with_backoff(ms(10), ms(40));
         tx.send_inner("a", base, true);
         tx.send_inner("b", base, true);
-        let runs = tx.release_held_coalesced();
+        let (_, runs) = release_wire(&mut tx);
         assert_eq!(runs, vec![(1, vec!["a", "b"])]);
         // Frames retransmit individually, on their own schedule. (The
         // release stamps next_due from the real clock, so poll with slack.)
-        assert!(tx.due_at(base + ms(9)).is_empty());
-        let due: Vec<u64> = tx
-            .due_at(base + ms(19))
+        assert!(due_at(&mut tx, base + ms(9)).is_empty());
+        let seqs: Vec<u64> = due_at(&mut tx, base + ms(19))
             .into_iter()
             .map(|(s, _)| s)
             .collect();
-        assert_eq!(due, vec![1, 2]);
+        assert_eq!(seqs, vec![1, 2]);
         // Interval doubled to 20ms after the first retransmission, and
         // from here the schedule is fully synthetic: next_due is 20ms
         // after the poll that retransmitted.
-        assert!(tx.due_at(base + ms(38)).is_empty());
-        assert_eq!(tx.due_at(base + ms(39)).len(), 2);
+        assert!(due_at(&mut tx, base + ms(38)).is_empty());
+        assert_eq!(due_at(&mut tx, base + ms(39)).len(), 2);
     }
 
     #[test]
     fn receive_batch_deduplicates_partially_retransmitted_runs() {
         let mut rx = LinkReceiver::new();
-        assert_eq!(rx.receive_batch(1, ["a", "b"]), vec!["a", "b"]);
+        assert_eq!(recv_batch(&mut rx, 1, ["a", "b"]), vec!["a", "b"]);
         // The same run arrives again (the batch write raced the ack) plus
         // one fresh frame: only the fresh frame is released.
-        assert_eq!(rx.receive_batch(1, ["a", "b", "c"]), vec!["c"]);
+        assert_eq!(recv_batch(&mut rx, 1, ["a", "b", "c"]), vec!["c"]);
         assert_eq!(rx.duplicates(), 2);
     }
 
@@ -818,14 +776,11 @@ mod tests {
 
         // The replay restarted frame 1's backoff at the base timeout, so
         // it is not due again immediately after the burst.
-        assert!(tx.due_for_retransmit().is_empty());
+        assert!(due(&mut tx).is_empty());
     }
 
     #[test]
-    fn scratch_variants_match_the_allocating_apis() {
-        // The `_into` family must be observationally identical to the
-        // allocating originals — same releases, same duplicate counting,
-        // same run shapes — while only ever appending to its buffer.
+    fn caller_buffers_are_only_ever_appended_to() {
         let mut rx = LinkReceiver::new();
         let mut out = vec!["sentinel"];
         assert_eq!(rx.receive_into(2, "b", &mut out), 0);
@@ -841,25 +796,26 @@ mod tests {
         let mut tx = LinkSender::new(Duration::from_secs(1));
         tx.send_held("a");
         tx.send_held("b");
-        let mut runs = Vec::new();
-        tx.release_held_coalesced_into(&mut runs);
-        assert_eq!(runs, vec![(1, vec!["a", "b"])]);
-        runs.clear();
-        tx.release_held_coalesced_into(&mut runs);
-        assert!(runs.is_empty(), "second release finds nothing held");
+        let mut singles = vec![(0, "sentinel")];
+        let mut runs = vec![(0, vec!["sentinel"])];
+        tx.release_held_wire(&mut singles, &mut runs);
+        assert_eq!(singles, vec![(0, "sentinel")]);
+        assert_eq!(runs, vec![(0, vec!["sentinel"]), (1, vec!["a", "b"])]);
+        tx.release_held_wire(&mut singles, &mut runs);
+        assert_eq!(runs.len(), 2, "second release finds nothing held");
 
         let mut tx = LinkSender::new(Duration::ZERO);
         let (s1, _) = tx.send("x");
-        let mut due = Vec::new();
+        let mut due = vec![(0, "sentinel")];
         tx.due_for_retransmit_into(&mut due);
-        assert_eq!(due, vec![(s1, "x")]);
+        assert_eq!(due, vec![(0, "sentinel"), (s1, "x")]);
         assert_eq!(tx.retransmissions(), 1);
     }
 
     #[test]
-    fn release_held_coalesced_with_nothing_held_is_empty() {
+    fn release_held_wire_with_nothing_held_is_empty() {
         let mut tx = LinkSender::<&str>::new(Duration::from_secs(1));
         tx.send("solo");
-        assert!(tx.release_held_coalesced().is_empty());
+        assert_eq!(release_wire(&mut tx), (Vec::new(), Vec::new()));
     }
 }

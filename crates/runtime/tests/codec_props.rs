@@ -9,25 +9,25 @@ mod codec_strategies;
 use codec_strategies::{frame_strategy, peer_strategy};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use seqnet_runtime::codec::{put_frame, put_peer, take_frame, CodecError, Reader};
+use seqnet_runtime::codec::{put_frame, put_peer, CodecError, Reader};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Any frame sequence round-trips: `put_frame` then repeated
-    /// `take_frame` recovers every frame and consumes every byte.
+    /// `Reader::frame` recovers every frame and consumes every byte.
     #[test]
     fn frames_roundtrip(frames in vec(frame_strategy(), 1..6)) {
         let mut buf = Vec::new();
         for f in &frames {
             put_frame(&mut buf, f);
         }
-        let mut rest = buf.as_slice();
+        let mut r = Reader::new(&buf);
         for f in &frames {
-            let got = take_frame(&mut rest).map_err(|e| e.to_string())?;
+            let got = r.frame().map_err(|e| e.to_string())?;
             prop_assert_eq!(&got, f);
         }
-        prop_assert!(rest.is_empty());
+        prop_assert_eq!(r.done(), Ok(()));
     }
 
     /// Every strict prefix of an encoded frame is rejected: the decoder
@@ -37,13 +37,12 @@ proptest! {
         let mut buf = Vec::new();
         put_frame(&mut buf, &frame);
         let cut = cut % buf.len();
-        let mut rest = &buf[..cut];
-        prop_assert!(take_frame(&mut rest).is_err());
+        prop_assert!(Reader::new(&buf[..cut]).frame().is_err());
     }
 
-    /// The frame layout is prefix-delimited: trailing bytes are left in
-    /// the slice for the caller, and `Reader::done` flags them for
-    /// envelope layers that require exact consumption.
+    /// The frame layout is prefix-delimited: trailing bytes are left
+    /// unread for the caller, and `Reader::done` flags them for envelope
+    /// layers that require exact consumption.
     #[test]
     fn trailing_bytes_are_left_and_flagged(
         frame in frame_strategy(),
@@ -52,13 +51,10 @@ proptest! {
         let mut buf = Vec::new();
         put_frame(&mut buf, &frame);
         buf.extend_from_slice(&junk);
-        let mut rest = buf.as_slice();
-        let got = take_frame(&mut rest).map_err(|e| e.to_string())?;
-        prop_assert_eq!(got, frame);
-        prop_assert_eq!(rest, junk.as_slice());
-
         let mut r = Reader::new(&buf);
-        r.frame().map_err(|e| e.to_string())?;
+        let got = r.frame().map_err(|e| e.to_string())?;
+        prop_assert_eq!(got, frame);
+        prop_assert_eq!(&buf[r.consumed()..], junk.as_slice());
         prop_assert_eq!(r.done(), Err(CodecError::Garbled("trailing bytes")));
     }
 
@@ -66,9 +62,9 @@ proptest! {
     /// parses (and leaves a suffix) or errors.
     #[test]
     fn garbled_bytes_never_panic(bytes in vec(any::<u8>(), 0..256)) {
-        let mut rest = bytes.as_slice();
+        let mut r = Reader::new(&bytes);
         for _ in 0..64 {
-            if take_frame(&mut rest).is_err() || rest.is_empty() {
+            if r.frame().is_err() || r.done().is_ok() {
                 break;
             }
         }

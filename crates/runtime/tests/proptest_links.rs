@@ -56,9 +56,7 @@ proptest! {
             prop_assert!(rounds < 10_000, "link failed to converge");
             // Adversary acts on the head of the (windowed) flight queue.
             if in_flight.is_empty() {
-                for (seq, p) in tx.due_for_retransmit() {
-                    in_flight.push((seq, p));
-                }
+                tx.due_for_retransmit_into(&mut in_flight);
                 continue;
             }
             let pick = (rounds * 7) % reorder_window.min(in_flight.len());
@@ -66,12 +64,12 @@ proptest! {
             match fate_iter.next().unwrap_or(Fate::Deliver) {
                 Fate::Drop => {}
                 Fate::Duplicate => {
-                    released.extend(rx.receive(seq, payload));
+                    rx.receive_into(seq, payload, &mut released);
                     tx.acknowledge(seq);
-                    released.extend(rx.receive(seq, payload));
+                    rx.receive_into(seq, payload, &mut released);
                 }
                 Fate::Deliver => {
-                    released.extend(rx.receive(seq, payload));
+                    rx.receive_into(seq, payload, &mut released);
                     tx.acknowledge(seq);
                 }
             }
@@ -92,7 +90,7 @@ proptest! {
         let mut released: Vec<u64> = Vec::new();
         for (seq, payload) in arrivals {
             let _ = payload;
-            released.extend(rx.receive(seq, seq));
+            rx.receive_into(seq, seq, &mut released);
         }
         // Releases are exactly 1, 2, 3, ... up to however far the stream
         // got — a contiguous prefix in order.

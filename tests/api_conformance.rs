@@ -90,3 +90,207 @@ fn engine_can_move_across_threads() {
     });
     assert_eq!(handle.join().unwrap(), 1);
 }
+
+/// Compile-only: names every entry point `benchmark/README.md` lists under
+/// "Public entry points the benchmark depends on", with the signature the
+/// benchmark calls it by. `benchmark/` is a package of its own that builds
+/// against this crate and may not change with it, so drift in any of
+/// these must fail here, in tier-1, not in the benchmark build. Entry
+/// points with `impl Trait` parameters cannot coerce to a function
+/// pointer; those are named through a never-called function instead.
+#[allow(dead_code, clippy::type_complexity)]
+mod benchmark_surface {
+    use seqnet::core::proto::trace::{NullSink, TraceEvent, TraceSink};
+    use seqnet::core::proto::{
+        Command, CommandBuf, DeliveryQueue, Event, Frame, NodeCore, Peer, Routing,
+    };
+    use seqnet::core::{
+        DeliveryRecord, Message, MessageId, NetworkSetup, OrderedPubSub, ProtocolState,
+    };
+    use seqnet::deploy::conn::{Conn, ConnError};
+    use seqnet::deploy::wire::{self, FrameBuffer};
+    use seqnet::deploy::{CodecError, DeployCluster, DeployStats, Topology, WireBody, WireMsg};
+    use seqnet::membership::workload::ZipfGroups;
+    use seqnet::membership::{GroupId, Membership, NodeId};
+    use seqnet::obs::jsonl::parse_jsonl;
+    use seqnet::obs::span::TraceSet;
+    use seqnet::obs::Recorder;
+    use seqnet::overlap::place::member_anchors;
+    use seqnet::overlap::{AtomId, Colocation, GraphBuilder, Placement, SequencingGraph};
+    use seqnet::runtime::codec::{self, Reader};
+    use seqnet::runtime::{Cluster, ClusterConfig, LinkReceiver, LinkSender, RuntimeStats};
+    use seqnet::sim::{SimTime, Simulator};
+    use seqnet::topology::{HostId, RouterId, TransitStubParams};
+    use std::collections::{BTreeMap, HashMap};
+    use std::path::Path;
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    fn threaded_runtime(c: &mut Cluster) {
+        let _: fn(&Membership, ClusterConfig) -> Cluster = Cluster::start;
+        let _ = c.publish(NodeId(0), GroupId(0), Vec::<u8>::new());
+        let _: fn(&mut Cluster, Duration) -> Option<(NodeId, Message)> = Cluster::next_delivery;
+        let _: fn(&mut Cluster) = Cluster::shutdown;
+        let _: fn(&Cluster) -> RuntimeStats = Cluster::stats;
+        let _: fn(&Cluster) -> BTreeMap<usize, u64> = Cluster::batch_size_counts;
+        let _: fn(&Cluster) -> Vec<TraceEvent> = Cluster::trace_events;
+        let _: fn(&Cluster) -> usize = Cluster::num_sequencing_nodes;
+        // Every field, by name: a renamed or removed one stops compiling.
+        let ClusterConfig {
+            drop_probability: _,
+            retransmit_timeout: _,
+            backoff_cap: _,
+            link_delay: _,
+            snapshot_interval: _,
+            heartbeat_interval: _,
+            heartbeat_miss_threshold: _,
+            coalesce: _,
+            seed: _,
+            trace: _,
+        } = ClusterConfig::default();
+        let RuntimeStats {
+            frames_sent: _,
+            frames_dropped: _,
+            retransmissions: _,
+            duplicates: _,
+            heartbeat_misses: _,
+            recovery: _,
+        } = c.stats();
+    }
+
+    fn socket_deployment(d: &mut DeployCluster) {
+        let _: fn() = seqnet::deploy::run_if_child;
+        // The benchmark calls `.expect` on the start result and prints the
+        // respawn error: both need `Debug`/`Display`, nothing more.
+        let _: fn(&Membership, ClusterConfig) -> Result<DeployCluster, String> =
+            DeployCluster::start;
+        let _ = d.publish(NodeId(0), GroupId(0), Vec::<u8>::new());
+        let _: fn(&mut DeployCluster, Duration) -> Option<(NodeId, Message)> =
+            DeployCluster::next_delivery;
+        let _: fn(&mut DeployCluster, usize) -> bool = DeployCluster::kill_node;
+        let _: fn(&mut DeployCluster, usize) -> Result<bool, String> = DeployCluster::respawn_node;
+        let _: fn(&mut DeployCluster) -> DeployStats = DeployCluster::shutdown;
+        let _: fn(&DeployCluster) -> Vec<TraceEvent> = DeployCluster::trace_events;
+        let _: fn(&DeployCluster) -> &Path = DeployCluster::dir;
+        let _: fn(&DeployCluster) -> usize = DeployCluster::num_sequencing_nodes;
+        let DeployStats {
+            frames_sent: _,
+            frames_dropped: _,
+            retransmissions: _,
+            duplicates: _,
+            heartbeat_misses: _,
+            recovery: _,
+            snapshots: _,
+            batch_sizes: _,
+        } = d.shutdown();
+    }
+
+    fn simulator(bus: &mut OrderedPubSub) {
+        let _: fn(&Membership, &NetworkSetup, &mut rand::rngs::StdRng) -> OrderedPubSub =
+            OrderedPubSub::with_network;
+        let _ = bus.publish_at(SimTime::ZERO, NodeId(0), GroupId(0), Vec::<u8>::new());
+        let _: fn(&mut OrderedPubSub) -> u64 = OrderedPubSub::run_to_quiescence;
+        let _: fn(&OrderedPubSub, NodeId) -> &[DeliveryRecord] = OrderedPubSub::delivered;
+        let _: fn(&OrderedPubSub) -> usize = OrderedPubSub::stuck_messages;
+        let _: fn(&OrderedPubSub) -> BTreeMap<NodeId, usize> =
+            OrderedPubSub::receiver_buffer_highwater;
+        let _: &Membership = bus.membership();
+        let _: fn(&mut OrderedPubSub, Arc<Mutex<dyn TraceSink + Send>>) =
+            OrderedPubSub::set_trace_sink;
+        let _: fn(&OrderedPubSub) -> SimTime = OrderedPubSub::now;
+        let _: MessageId = MessageId(0);
+        let _: fn(&SequencingGraph) -> ProtocolState = ProtocolState::new;
+    }
+
+    fn layer_replay<'a>() {
+        let _: fn(usize, bool) -> NodeCore = NodeCore::new;
+        let _: fn(
+            &mut NodeCore,
+            &Routing<'_>,
+            &mut ProtocolState,
+            Event,
+            &mut NullSink,
+            &mut CommandBuf,
+        ) = NodeCore::on_event_into::<NullSink>;
+        let _: fn(NodeId, &Membership, &SequencingGraph) -> DeliveryQueue = DeliveryQueue::new;
+        let _: fn(&mut DeliveryQueue, Message, &mut Vec<Message>) = DeliveryQueue::offer_into;
+        let _: fn(&'a Membership, &'a SequencingGraph) -> Routing<'a> = Routing::solo;
+        let _: fn(&'a Membership, &'a SequencingGraph, &'a HashMap<AtomId, usize>) -> Routing<'a> =
+            Routing::colocated;
+        let _: fn() -> CommandBuf = CommandBuf::new;
+        let _ = |c: Command| {
+            matches!(
+                c,
+                Command::Stage { .. } | Command::Flush | Command::Ack { .. }
+            )
+        };
+        let _ = |f: Frame| Event::FrameArrived { frame: f };
+        let _ = [Peer::Publisher, Peer::Node(0), Peer::Host(NodeId(0))];
+
+        let _: fn(Duration, Duration) -> LinkSender<Frame> = LinkSender::with_backoff;
+        let _: fn(&mut LinkSender<Frame>, Frame) -> (u64, Frame) = LinkSender::send;
+        let _: fn(&mut LinkSender<Frame>, Frame) -> (u64, Frame) = LinkSender::send_held;
+        let _: fn(&mut LinkSender<Frame>, &mut Vec<(u64, Frame)>, &mut Vec<(u64, Vec<Frame>)>) =
+            LinkSender::release_held_wire;
+        let _: fn(&mut LinkSender<Frame>, u64) = LinkSender::acknowledge_through;
+        let _: fn(&mut LinkSender<Frame>, &mut Vec<(u64, Frame)>) =
+            LinkSender::due_for_retransmit_into;
+        let _: fn() -> LinkReceiver<Frame> = LinkReceiver::new;
+        let _: fn(&mut LinkReceiver<Frame>, u64, Frame, &mut Vec<Frame>) -> usize =
+            LinkReceiver::receive_into;
+        let _ = |rx: &mut LinkReceiver<Frame>, run: Vec<Frame>, out: &mut Vec<Frame>| -> usize {
+            rx.receive_batch_into(1, run, out)
+        };
+        let _: fn(&LinkReceiver<Frame>) -> u64 = LinkReceiver::next_expected;
+        let _: fn(&mut Vec<u8>, &Frame) = codec::put_frame;
+        let _: fn(&'a [u8]) -> Reader<'a> = Reader::new;
+        let _: fn(&mut Reader<'a>) -> Result<Frame, CodecError> = Reader::frame;
+
+        let _: fn(&Membership, u64) -> Topology = Topology::derive;
+        let _: fn(&Topology, Peer, Peer) -> u32 = Topology::link_between;
+        let _ = |t: Topology| {
+            let _: (Vec<(Peer, Peer)>, usize) = (t.links, t.num_nodes);
+            let _: (SequencingGraph, Membership, HashMap<AtomId, usize>) =
+                (t.graph, t.membership, t.atom_node);
+        };
+        let _ = |link: u32, seq: u64, f: Frame| {
+            [
+                WireMsg::Link {
+                    link,
+                    seq,
+                    body: WireBody::Data(f.clone()),
+                },
+                WireMsg::Link {
+                    link,
+                    seq,
+                    body: WireBody::DataBatch(vec![f]),
+                },
+                WireMsg::Link {
+                    link,
+                    seq,
+                    body: WireBody::AckThrough,
+                },
+            ]
+        };
+        let _: fn(std::net::TcpStream) -> std::io::Result<Conn> = Conn::new;
+        let _: fn(&mut Conn, &WireMsg) = Conn::queue;
+        let _: fn(&mut Conn) -> Result<(), ConnError> = Conn::poll_write;
+        let _: fn(&mut Conn, &mut Vec<WireMsg>) -> Result<usize, ConnError> = Conn::poll_read_into;
+        let _: fn(&WireMsg, &mut Vec<u8>) = wire::encode;
+        let _: fn() -> FrameBuffer = FrameBuffer::new;
+        let _: fn(&mut FrameBuffer, &[u8]) = FrameBuffer::push;
+        let _: fn(&mut FrameBuffer) -> Result<Option<WireMsg>, CodecError> = FrameBuffer::next;
+
+        let _: fn(u64) -> Simulator<u64> = Simulator::new;
+        let _: fn() -> GraphBuilder = GraphBuilder::new;
+        let _ = Colocation::compute::<rand::rngs::StdRng>;
+        let _ = Placement::heuristic::<rand::rngs::StdRng>;
+        let _ = |m: &Membership| member_anchors(m, |n| RouterId(n.0));
+        let _: fn() -> TransitStubParams = TransitStubParams::paper;
+        let _ = HostId(0);
+        let _: fn(usize, usize) -> ZipfGroups = ZipfGroups::new;
+        let _: fn() -> Recorder = Recorder::new;
+        let _: fn(&str) -> Option<TraceEvent> = parse_jsonl;
+        let _: fn(&[TraceEvent]) -> TraceSet = TraceSet::from_events;
+    }
+}

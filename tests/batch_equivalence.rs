@@ -7,10 +7,11 @@
 //!   [`OrderedPubSub::set_batching`]`(false)` — must produce byte-identical
 //!   delivery logs (destination, id, virtual delivery time) and identical
 //!   fault/recovery accounting, with and without injected faults.
-//! * **Core**: chunking one event stream through
-//!   [`NodeCore::on_events`] / [`ReceiverCore::offer_batch`] at batch
-//!   sizes 1, 2, 7, and 64 must emit exactly the command stream per-event
-//!   `on_event` calls produce, in the same order.
+//! * **Core**: feeding one event stream through
+//!   [`NodeCore::on_event_into`] / [`ReceiverCore::on_event_into`] with
+//!   **one** [`CommandBuf`] reused across batches of 1, 2, 7, and 64
+//!   events (drained between batches) must emit exactly the command
+//!   stream a fresh buffer per event produces, in the same order.
 //!
 //! Together with the checker's `batch-vs-step` oracle (which re-proves the
 //! contract on every explored schedule) this pins down the tentpole claim:
@@ -18,7 +19,11 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use seqnet::core::proto::{CommandBuf, Event, Frame, NodeCore, ProtocolState, ReceiverCore, Routing};
+use seqnet::core::proto::testing::{node_commands, receiver_commands};
+use seqnet::core::proto::trace::NullSink;
+use seqnet::core::proto::{
+    Command, CommandBuf, Event, Frame, NodeCore, ProtocolState, ReceiverCore, Routing,
+};
 use seqnet::core::{FaultStats, Message, MessageId, OrderedPubSub};
 use seqnet::membership::{GroupId, Membership, NodeId};
 use seqnet::overlap::GraphBuilder;
@@ -115,8 +120,9 @@ proptest! {
         prop_assert_eq!(&batched, &stepped, "batching changed faulty-run behavior");
     }
 
-    /// Chunking a node core's ingress stream at every pinned batch size
-    /// emits exactly the per-event command stream, in order.
+    /// Reusing one buffer across a node core's ingress stream, drained at
+    /// every pinned batch size, emits exactly the command stream a fresh
+    /// buffer per event does, in order.
     #[test]
     fn node_core_chunks_of_every_size_match_per_event(seed in any::<u64>()) {
         let (m, graph) = core_setup();
@@ -139,28 +145,39 @@ proptest! {
         let mut stepped = NodeCore::new(owner, false);
         let mut expected = Vec::new();
         for event in events.clone() {
-            expected.extend(stepped.on_event(&routing, &mut stepped_protocol, event));
+            expected.extend(node_commands(
+                &mut stepped,
+                &routing,
+                &mut stepped_protocol,
+                event,
+                &mut NullSink,
+            ));
         }
 
         for chunk in CHUNK_SIZES {
             let mut protocol = ProtocolState::new(&graph);
             let mut core = NodeCore::new(owner, false);
             let mut buf = CommandBuf::new();
+            let mut got: Vec<Command> = Vec::new();
             for batch in events.chunks(chunk) {
-                core.on_events(&routing, &mut protocol, batch.iter().cloned(), &mut buf);
+                for event in batch.iter().cloned() {
+                    core.on_event_into(&routing, &mut protocol, event, &mut NullSink, &mut buf);
+                }
+                got.extend(buf.drain());
             }
             prop_assert_eq!(
-                format!("{:?}", buf.commands()),
+                format!("{got:?}"),
                 format!("{expected:?}"),
-                "chunk size {} diverged from per-event stepping",
+                "a buffer reused across {} events diverged from a fresh one per event",
                 chunk
             );
         }
     }
 
-    /// Chunking a receiver's (seed-permuted, hence gap-buffering) arrival
-    /// stream at every pinned batch size releases exactly the per-event
-    /// delivery stream, in order.
+    /// Reusing one buffer across a receiver's (seed-permuted, hence
+    /// gap-buffering) arrival stream, drained at every pinned batch size,
+    /// releases exactly the delivery stream a fresh buffer per event
+    /// does, in order.
     #[test]
     fn receiver_core_chunks_of_every_size_match_per_event(seed in any::<u64>()) {
         let (m, graph) = core_setup();
@@ -188,19 +205,23 @@ proptest! {
         let mut stepped = ReceiverCore::new(n(1), &m, &graph);
         let mut expected = Vec::new();
         for event in events.clone() {
-            expected.extend(stepped.on_event(event));
+            expected.extend(receiver_commands(&mut stepped, event, &mut NullSink));
         }
 
         for chunk in CHUNK_SIZES {
             let mut receiver = ReceiverCore::new(n(1), &m, &graph);
             let mut buf = CommandBuf::new();
+            let mut got: Vec<Command> = Vec::new();
             for batch in events.chunks(chunk) {
-                receiver.offer_batch(batch.iter().cloned(), &mut buf);
+                for event in batch.iter().cloned() {
+                    receiver.on_event_into(event, &mut NullSink, &mut buf);
+                }
+                got.extend(buf.drain());
             }
             prop_assert_eq!(
-                format!("{:?}", buf.commands()),
+                format!("{got:?}"),
                 format!("{expected:?}"),
-                "chunk size {} diverged from per-event receiving",
+                "a buffer reused across {} arrivals diverged from a fresh one per arrival",
                 chunk
             );
             prop_assert_eq!(

@@ -10,6 +10,7 @@ use seqnet::core::{Message, MessageId, OrderedPubSub};
 use seqnet::deploy::snapshot::DiskSnapshot;
 use seqnet::membership::{GroupId, Membership, NodeId};
 use seqnet::overlap::GraphBuilder;
+use seqnet::runtime::{LinkSnapshot, TxLinkSnapshot};
 use seqnet::sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -166,8 +167,14 @@ proptest! {
             epoch,
             overlaps,
             groups,
-            rx_next: rx,
-            tx: vec![(3, 17, tx_frames)],
+            links: LinkSnapshot {
+                rx_next: rx,
+                tx: vec![TxLinkSnapshot {
+                    link: 3,
+                    next_seq: 17,
+                    frames: tx_frames,
+                }],
+            },
         };
         let back = DiskSnapshot::decode(&snap.encode()).expect("decodes");
         prop_assert_eq!(back, snap);

@@ -433,12 +433,14 @@ fn churn_with_crash_inside_handoff_agrees() {
     assert_eq!(sock.parked_publishes(), burst_b.len());
     match sock.complete_reconfigure(Duration::from_millis(300)) {
         Ok(1) => {}
-        Ok(e) => panic!("handoff activated wrong epoch {e}"),
-        Err(_) => {
+        // A drain timeout — and only that — is what a respawn cures; a
+        // failed spawn of the next process tree would be `Spawn`.
+        Err(RuntimeError::Timeout { .. }) => {
             assert!(sock.reconfig_pending(), "a failed drain stays pending");
             sock.respawn_node(0).expect("killed node respawns");
             assert_eq!(sock.complete_reconfigure(Duration::from_secs(60)), Ok(1));
         }
+        other => panic!("unexpected handoff outcome: {other:?}"),
     }
     assert_eq!(sock.epoch(), 1);
     let deliveries = sock
