@@ -593,34 +593,7 @@ impl OrderedPubSub {
             if self.sim.world().handoff.is_none() || self.stuck_messages() > 0 {
                 break;
             }
-            let now = self.sim.now();
-            let parked = {
-                let world = self.sim.world_mut();
-                let Handoff {
-                    membership,
-                    graph,
-                    parked,
-                } = world.handoff.take().expect("pending handoff checked");
-                apply_config(world, membership, graph);
-                let epoch = world.protocol.epoch();
-                if let Some(sink) = &world.sink {
-                    let mut sink = sink.lock().expect("trace sink poisoned");
-                    sink.now(now.as_micros());
-                    if sink.enabled() {
-                        sink.record(TraceEvent {
-                            detail: Some(epoch),
-                            ..TraceEvent::new(EventKind::EpochAdvance, Actor::Publisher)
-                        });
-                    }
-                }
-                parked
-            };
-            for p in parked {
-                let at = p.at.max(now);
-                self.sim.schedule_at(at, move |sim| {
-                    inject(sim, p.id, p.sender, p.group, p.payload);
-                });
-            }
+            self.complete_handoff();
         }
         events
     }
@@ -700,32 +673,54 @@ impl OrderedPubSub {
     ///
     /// Returns [`CoreError::NotQuiescent`] if events are pending or
     /// messages are buffered — run
-    /// [`OrderedPubSub::run_to_quiescence`] first. Returns
-    /// [`CoreError::InvalidGraph`] if a non-empty group lacks a path.
+    /// [`OrderedPubSub::run_to_quiescence`] first. Otherwise the errors
+    /// of [`OrderedPubSub::begin_reconfigure`], which this is followed by
+    /// an immediate handoff.
     pub fn reconfigure(
         &mut self,
         membership: &Membership,
         graph: SequencingGraph,
     ) -> Result<(), CoreError> {
-        if self.sim.world().handoff.is_some() {
-            return Err(CoreError::ReconfigPending {
-                next_epoch: self.sim.world().protocol.epoch() + 1,
-            });
-        }
+        // A staged handoff is reported as such (by `begin_reconfigure`)
+        // even while its epoch is still draining.
         let buffered = self.stuck_messages();
-        if self.sim.events_pending() > 0 || buffered > 0 {
+        if !self.reconfig_pending() && (self.sim.events_pending() > 0 || buffered > 0) {
             return Err(CoreError::NotQuiescent {
                 pending_events: self.sim.events_pending(),
                 buffered_messages: buffered,
             });
         }
-        for g in membership.groups() {
-            if membership.group_size(g) > 0 && graph.path(g).is_none() {
-                return Err(CoreError::InvalidGraph(format!("{g} has no path")));
-            }
-        }
-        apply_config(self.sim.world_mut(), membership.clone(), graph);
+        self.begin_reconfigure(membership, graph)?;
+        self.complete_handoff();
         Ok(())
+    }
+
+    /// Completes the pending handoff on a drained world: swaps the new
+    /// configuration in, announces the new epoch on the trace sink, and
+    /// injects the parked publishes under it. The one place an epoch
+    /// advances, for the quiescent and the live path alike.
+    fn complete_handoff(&mut self) {
+        let now = self.sim.now();
+        let world = self.sim.world_mut();
+        let Handoff {
+            membership,
+            graph,
+            parked,
+        } = world.handoff.take().expect("a handoff is pending");
+        apply_config(world, membership, graph);
+        let epoch = world.protocol.epoch();
+        with_sink(&world.sink, now, |sink| {
+            sink.record(TraceEvent {
+                detail: Some(epoch),
+                ..TraceEvent::new(EventKind::EpochAdvance, Actor::Publisher)
+            });
+        });
+        for p in parked {
+            let at = p.at.max(now);
+            self.sim.schedule_at(at, move |sim| {
+                inject(sim, p.id, p.sender, p.group, p.payload);
+            });
+        }
     }
 
     /// Begins a *non-quiescent* reconfiguration (PROTOCOL.md §14): the

@@ -4,12 +4,12 @@
 //! [`DeployCluster::start`] reserves one localhost port per sequencing
 //! node, writes the spec file, spawns one real OS process per node, and
 //! dials each of them. The coordinator terminates the publisher end and
-//! every host end of the link table, one [`LinkEngine`] per party exactly
-//! as the threaded runtime's publisher front-end and host threads do
-//! (immediate acks — the coordinator never crashes), and runs the
-//! unchanged [`ReceiverCore`] per subscriber host, so delivery order is
-//! produced by exactly the protocol code the simulator and the threaded
-//! runtime execute. Chaos is real: [`DeployCluster::kill_node`] SIGKILLs
+//! every host end of the link table — one [`LinkEngine`] for the publisher
+//! and one [`HostMachine`] per subscriber host, exactly what the threaded
+//! runtime's publisher front-end and host threads run (immediate acks —
+//! the coordinator never crashes) — so delivery order is produced by
+//! exactly the protocol code the simulator and the threaded runtime
+//! execute. Chaos is real: [`DeployCluster::kill_node`] SIGKILLs
 //! the child process, [`DeployCluster::drop_conn`] severs a live TCP
 //! connection, [`DeployCluster::stall_link`] freezes one without closing
 //! it.
@@ -21,11 +21,11 @@ use crate::spec::ClusterSpec;
 use crate::topo::{Proc, Topology};
 use crate::wire::{NodeTelemetry, NodeWireStats, WireBody, WireMsg};
 use seqnet_core::proto::trace::{TraceEvent, TraceSink};
-use seqnet_core::proto::{Command, CommandBuf, Event, Frame, Peer, ReceiverCore, RecoveryStats};
+use seqnet_core::proto::{Peer, RecoveryStats};
 use seqnet_core::{Message, MessageId};
 use seqnet_membership::{GroupId, Membership, NodeId};
 use seqnet_obs::{prom, Recorder, Registry};
-use seqnet_runtime::{ClusterConfig, LinkEngine, PublishFront, RuntimeError};
+use seqnet_runtime::{ClusterConfig, HostMachine, LinkEngine, PublishFront, RuntimeError};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::process::{Child, Command as ProcessCommand, Stdio};
@@ -81,11 +81,11 @@ pub struct DeployCluster {
     net: Peers,
     /// The publisher's end of the publisher→ingress links.
     publisher: LinkEngine,
-    hosts: HashMap<NodeId, HostEnd>,
-    /// Scratch reused across pump rounds, so a quiet round allocates
-    /// nothing: released frames, core commands, decoded messages.
-    frames: Vec<Frame>,
-    cmdbuf: CommandBuf,
+    /// The subscriber hosts, in-process: their ends of the node→host
+    /// links plus their delivery queues.
+    hosts: HashMap<NodeId, HostMachine>,
+    /// Decoded messages; scratch reused across pump rounds, so a quiet
+    /// round allocates nothing.
     msgs: Vec<WireMsg>,
     deliveries: VecDeque<(NodeId, Message)>,
     node_stats: HashMap<usize, NodeWireStats>,
@@ -108,14 +108,6 @@ pub struct DeployCluster {
     telemetry: HashMap<usize, NodeTelemetry>,
     /// When the last `TelemetryRequest` round was broadcast.
     last_telemetry_poll: Instant,
-}
-
-/// A subscriber host inside the coordinator: its end of the node→host
-/// links plus its delivery queue.
-#[derive(Debug)]
-struct HostEnd {
-    engine: LinkEngine,
-    receiver: ReceiverCore,
 }
 
 /// Advances the coordinator's trace clock to the shared UNIX-epoch
@@ -216,13 +208,7 @@ impl DeployCluster {
             publisher: LinkEngine::new(Peer::Publisher, false, &config),
             hosts: membership
                 .nodes()
-                .map(|h| {
-                    let end = HostEnd {
-                        engine: LinkEngine::new(Peer::Host(h), false, &config),
-                        receiver: ReceiverCore::new(h, membership, &topo.graph),
-                    };
-                    (h, end)
-                })
+                .map(|h| (h, HostMachine::new(h, &topo, &config)))
                 .collect(),
             incarnations: vec![0; topo.num_nodes],
             children: HashMap::new(),
@@ -236,8 +222,6 @@ impl DeployCluster {
                     .collect(),
                 config.backoff_cap,
             ),
-            frames: Vec::new(),
-            cmdbuf: CommandBuf::new(),
             msgs: Vec::new(),
             deliveries: VecDeque::new(),
             node_stats: HashMap::new(),
@@ -322,7 +306,7 @@ impl DeployCluster {
         let net = &mut self.net;
         self.publisher.drain_outbox().for_each(|t| net.route(t));
         for host in self.hosts.values_mut() {
-            host.engine.drain_outbox().for_each(|t| net.route(t));
+            host.drain_outbox().for_each(|t| net.route(t));
         }
         net.flush();
     }
@@ -334,38 +318,30 @@ impl DeployCluster {
     fn on_link(&mut self, link: u32, seq: u64, body: WireBody) {
         match body.endpoints(&self.topo, link) {
             Some((_, Peer::Publisher)) => {
+                // The publisher only ever receives acks: nothing releases.
                 self.publisher
-                    .on_link(&self.topo, link, seq, body, &mut self.frames);
-                self.frames.clear();
+                    .on_link(&self.topo, link, seq, body, &mut Vec::new());
             }
             Some((_, Peer::Host(h))) => {
                 let Some(host) = self.hosts.get_mut(&h) else {
                     return;
                 };
-                if host
-                    .engine
-                    .on_link(&self.topo, link, seq, body, &mut self.frames)
-                    == 0
-                {
-                    return;
-                }
-                stamp(&mut self.trace);
-                for frame in self.frames.drain(..) {
-                    host.receiver.on_event_into(
-                        Event::FrameArrived { frame },
-                        &mut self.trace,
-                        &mut self.cmdbuf,
-                    );
-                }
-                for cmd in self.cmdbuf.drain() {
-                    match cmd {
-                        Command::Deliver { host, msg } => {
-                            self.front.note_delivery();
-                            self.deliveries.push_back((host, msg));
-                        }
-                        other => unreachable!("receivers only deliver: {other:?}"),
-                    }
-                }
+                let (trace, front, deliveries) =
+                    (&mut self.trace, &mut self.front, &mut self.deliveries);
+                host.on_link(
+                    &self.topo,
+                    link,
+                    seq,
+                    body,
+                    || {
+                        stamp(trace);
+                        trace
+                    },
+                    |host, msg| {
+                        front.note_delivery();
+                        deliveries.push_back((host, msg));
+                    },
+                );
             }
             Some((_, Peer::Node(_))) | None => {}
         }
@@ -707,7 +683,7 @@ impl DeployCluster {
         let buffered: usize = self
             .hosts
             .values()
-            .map(|h| h.receiver.queue().pending())
+            .map(|h| h.receiver().queue().pending())
             .sum();
         let mut line = format!(
             "epoch={} reconfig_pending={} parked={} buffered={} delivered={}",
@@ -741,7 +717,7 @@ impl DeployCluster {
     pub fn stats(&self) -> DeployStats {
         let mut stats = self.prior_stats.clone();
         stats.recovery.crashes += self.crashes;
-        let engines = self.hosts.values().map(|h| &h.engine);
+        let engines = self.hosts.values().map(HostMachine::engine);
         for engine in engines.chain(std::iter::once(&self.publisher)) {
             let links = engine.counters();
             stats.frames_sent += links.frames_sent;
@@ -754,6 +730,7 @@ impl DeployCluster {
         }
         for node in self.node_stats.values() {
             stats.frames_sent += node.frames_sent;
+            stats.frames_dropped += node.frames_dropped;
             stats.retransmissions += node.retransmissions;
             stats.duplicates += node.duplicates;
             stats.heartbeat_misses += node.heartbeat_misses;
@@ -840,6 +817,7 @@ pub fn node_registry(telemetry: &NodeTelemetry, label: Option<u64>) -> Registry 
     let mut reg = Registry::new();
     let s = &telemetry.stats;
     reg.inc("node_duplicate_frames_total", label, s.duplicates);
+    reg.inc("node_frames_dropped_total", label, s.frames_dropped);
     reg.inc("node_frames_processed_total", label, telemetry.frames_processed);
     reg.inc("node_frames_replayed_total", label, s.frames_replayed);
     reg.inc("node_frames_sent_total", label, s.frames_sent);

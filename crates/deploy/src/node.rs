@@ -148,6 +148,7 @@ fn wire_stats(node: &NodeMachine) -> NodeWireStats {
     let (links, counters) = (node.engine().counters(), node.counters());
     NodeWireStats {
         frames_sent: links.frames_sent,
+        frames_dropped: links.frames_dropped,
         retransmissions: links.retransmissions,
         duplicates: links.duplicates,
         heartbeat_misses: counters.heartbeat_misses,

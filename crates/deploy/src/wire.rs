@@ -33,6 +33,8 @@ pub const MAX_FRAME_LEN: usize = 8 * 1024 * 1024;
 pub struct NodeWireStats {
     /// Data frames this node put on the wire (incl. retransmissions).
     pub frames_sent: u64,
+    /// Wire writes this node's loss injector discarded.
+    pub frames_dropped: u64,
     /// Retransmissions performed by this node's link senders.
     pub retransmissions: u64,
     /// Duplicate frames discarded by this node's link receivers.
@@ -122,6 +124,7 @@ pub use seqnet_runtime::LinkBody as WireBody;
 /// [`WireMsg::Telemetry`].
 fn put_stats(out: &mut Vec<u8>, s: &NodeWireStats) {
     put_u64(out, s.frames_sent);
+    put_u64(out, s.frames_dropped);
     put_u64(out, s.retransmissions);
     put_u64(out, s.duplicates);
     put_u64(out, s.heartbeat_misses);
@@ -192,6 +195,7 @@ pub fn encode(msg: &WireMsg, out: &mut Vec<u8>) {
 fn read_stats(r: &mut Reader<'_>) -> Result<NodeWireStats, CodecError> {
     let mut s = NodeWireStats {
         frames_sent: r.u64()?,
+        frames_dropped: r.u64()?,
         retransmissions: r.u64()?,
         duplicates: r.u64()?,
         heartbeat_misses: r.u64()?,
@@ -369,6 +373,7 @@ mod tests {
             WireMsg::Shutdown,
             WireMsg::Stats(NodeWireStats {
                 frames_sent: 10,
+                frames_dropped: 3,
                 retransmissions: 2,
                 duplicates: 1,
                 heartbeat_misses: 0,

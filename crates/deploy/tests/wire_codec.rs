@@ -36,19 +36,22 @@ fn body_strategy() -> impl Strategy<Value = WireBody> {
 fn stats_strategy() -> impl Strategy<Value = NodeWireStats> {
     (
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>()),
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         vec((0u32..4_096, any::<u64>()), 0..6),
     )
-        .prop_map(|((fs, rt, dup, hb), (rep, rec, snap), sizes)| NodeWireStats {
-            frames_sent: fs,
-            retransmissions: rt,
-            duplicates: dup,
-            heartbeat_misses: hb,
-            frames_replayed: rep,
-            recovery_micros: rec,
-            snapshots: snap,
-            batch_sizes: sizes.into_iter().map(|(s, c)| (s as usize, c)).collect(),
-        })
+        .prop_map(
+            |((fs, rt, dup, hb), (rep, rec, snap, dropped), sizes)| NodeWireStats {
+                frames_sent: fs,
+                frames_dropped: dropped,
+                retransmissions: rt,
+                duplicates: dup,
+                heartbeat_misses: hb,
+                frames_replayed: rep,
+                recovery_micros: rec,
+                snapshots: snap,
+                batch_sizes: sizes.into_iter().map(|(s, c)| (s as usize, c)).collect(),
+            },
+        )
 }
 
 fn msg_strategy() -> impl Strategy<Value = WireMsg> {

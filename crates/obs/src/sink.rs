@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::TraceEvent;
 
@@ -166,6 +166,22 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
     }
 }
 
+/// A locked sink is a sink: a driver that shares one recorder between
+/// threads locks it once per step and hands the cores the guard.
+impl<S: TraceSink + ?Sized> TraceSink for MutexGuard<'_, S> {
+    fn enabled(&self) -> bool {
+        (**self).enabled()
+    }
+
+    fn now(&mut self, at: u64) {
+        (**self).now(at);
+    }
+
+    fn record(&mut self, event: TraceEvent) {
+        (**self).record(event);
+    }
+}
+
 /// An optional sink: `None` is disabled and drops whatever it is handed,
 /// `Some` delegates. Lets a driver whose tracing is a run-time switch make
 /// one sink-generic call per site instead of forking traced and untraced
@@ -290,5 +306,9 @@ mod tests {
         assert!(arc.enabled());
         arc.record(ev(EventKind::Replay));
         assert_eq!(arc.lock().unwrap().seen(), 1);
+        let mut guard = Some(arc.lock().unwrap());
+        assert!(guard.enabled());
+        guard.record(ev(EventKind::Replay));
+        assert_eq!(guard.unwrap().seen(), 2);
     }
 }

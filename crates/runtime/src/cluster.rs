@@ -13,6 +13,7 @@
 
 use crate::engine::{LinkCounters, LinkEngine, LinkSnapshot, Transmission};
 use crate::front::PublishFront;
+use crate::host::HostMachine;
 use crate::node::NodeMachine;
 use crate::topo::Topology;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -20,9 +21,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seqnet_core::proto::trace::{Actor, EventKind, TraceEvent, TraceSink};
-use seqnet_core::proto::{
-    Command, CommandBuf, Event, Frame, Peer, ProtocolState, ReceiverCore, RecoveryStats,
-};
+use seqnet_core::proto::{Peer, ProtocolState, RecoveryStats};
 use seqnet_core::{Message, MessageId};
 use seqnet_membership::{GroupId, Membership, NodeId};
 use seqnet_obs::{prom, Recorder, Registry};
@@ -33,8 +32,7 @@ use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::sync::Mutex as StdMutex;
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -284,19 +282,18 @@ impl Wiring {
         }
     }
 
-    /// Runs `f` with the one sink every machine call takes: the shared
-    /// recorder, locked and stamped with wall microseconds since cluster
-    /// start, or `None` when the deployment is untraced.
-    fn traced<R>(&self, f: impl FnOnce(&mut Option<&mut Recorder>) -> R) -> R {
+    /// The one sink every machine call takes: the shared recorder, locked
+    /// and stamped with wall microseconds since cluster start, or `None`
+    /// when the deployment is untraced.
+    fn sink(&self) -> Option<MutexGuard<'_, Recorder>> {
         let mut guard = self
             .trace
             .as_ref()
             .map(|rec| rec.lock().expect("trace sink poisoned"));
-        let mut sink = guard.as_deref_mut();
-        if let Some(rec) = &mut sink {
+        if let Some(rec) = &mut guard {
             rec.now(self.epoch.elapsed().as_micros() as u64);
         }
-        f(&mut sink)
+        guard
     }
 
     /// Folds a finished thread's counters into the shared totals.
@@ -523,17 +520,14 @@ impl Cluster {
         payload: impl Into<bytes::Bytes>,
     ) -> Result<MessageId, RuntimeError> {
         let wiring = &self.wiring;
-        let id = wiring.traced(|sink| {
-            let payload = payload.into();
-            self.front.publish(
-                &wiring.topo,
-                &mut self.pub_engine,
-                sink,
-                sender,
-                group,
-                payload,
-            )
-        })?;
+        let id = self.front.publish(
+            &wiring.topo,
+            &mut self.pub_engine,
+            &mut wiring.sink(),
+            sender,
+            group,
+            payload.into(),
+        )?;
         self.pump_publisher();
         Ok(id)
     }
@@ -617,9 +611,9 @@ impl Cluster {
         self.wiring.stats.lock().recovery.crashes += 1;
         // The core never sees a crash event here (the crash *is* the
         // thread dying), so the driver reports it.
-        self.wiring.traced(|sink| {
-            sink.record(TraceEvent::new(EventKind::Crash, Actor::Node(node as u64)));
-        });
+        self.wiring
+            .sink()
+            .record(TraceEvent::new(EventKind::Crash, Actor::Node(node as u64)));
         true
     }
 
@@ -774,11 +768,13 @@ impl Cluster {
         next.prior_batches = self.batch_size_counts();
         next.prior_trace = prior_trace;
         let wiring = &next.wiring;
-        wiring.traced(|sink| {
-            let (topo, publisher) = (&wiring.topo, &mut next.pub_engine);
-            next.front
-                .activate(next_epoch, topo, publisher, sink, pending.parked);
-        });
+        next.front.activate(
+            next_epoch,
+            &wiring.topo,
+            &mut next.pub_engine,
+            &mut wiring.sink(),
+            pending.parked,
+        );
         next.pump_publisher();
         *self = next;
         Ok(next_epoch)
@@ -1028,7 +1024,7 @@ fn node_thread(
             match msg {
                 ThreadMsg::Shutdown => shutdown = true,
                 ThreadMsg::Frame(t) => {
-                    wiring.traced(|sink| node.on_link(topo, t.link, t.seq, t.body, sink));
+                    node.on_link(topo, t.link, t.seq, t.body, &mut wiring.sink());
                 }
             }
         }
@@ -1037,7 +1033,8 @@ fn node_thread(
         }
 
         let now = Instant::now();
-        wiring.traced(|sink| {
+        {
+            let sink = &mut wiring.sink();
             node.snapshot(topo, now, sink, |protocol, links| {
                 // Keep the new link snapshot by swapping it with the
                 // previous checkpoint's buffers, which the machine reuses.
@@ -1049,7 +1046,7 @@ fn node_thread(
             })
             .unwrap_or_else(|never| match never {});
             node.tick(topo, now, sink);
-        });
+        }
         wiring.route(node.drain_outbox());
     }
     finish(&node);
@@ -1064,44 +1061,28 @@ fn host_thread(
     notes: Sender<(NodeId, Message)>,
 ) {
     let topo = &wiring.topo;
-    let mut engine = LinkEngine::new(Peer::Host(host), false, &wiring.config);
-    let mut receiver = ReceiverCore::new(host, &topo.membership, &topo.graph);
-    let mut cmdbuf = CommandBuf::new();
+    let mut machine = HostMachine::new(host, topo, &wiring.config);
     let tick = (wiring.config.retransmit_timeout / 2).max(Duration::from_millis(1));
-    // Reused released-frame buffer: the in-order hot path allocates
-    // nothing between wire arrival and the delivery note.
-    let mut frames: Vec<Frame> = Vec::new();
 
     loop {
         match inbox.recv_timeout(tick) {
             Ok(ThreadMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => {}
-            Ok(ThreadMsg::Frame(t)) => {
-                if engine.on_link(topo, t.link, t.seq, t.body, &mut frames) > 0 {
-                    wiring.traced(|sink| {
-                        for frame in frames.drain(..) {
-                            receiver.on_event_into(
-                                Event::FrameArrived { frame },
-                                sink,
-                                &mut cmdbuf,
-                            );
-                        }
-                    });
-                    for cmd in cmdbuf.drain() {
-                        match cmd {
-                            Command::Deliver { host, msg } => {
-                                let _ = notes.send((host, msg));
-                            }
-                            other => unreachable!("receivers only deliver: {other:?}"),
-                        }
-                    }
-                }
-            }
+            Ok(ThreadMsg::Frame(t)) => machine.on_link(
+                topo,
+                t.link,
+                t.seq,
+                t.body,
+                || wiring.sink(),
+                |host, msg| {
+                    let _ = notes.send((host, msg));
+                },
+            ),
         }
-        engine.retransmit_due(topo);
-        wiring.route(engine.drain_outbox());
+        machine.retransmit_due(topo);
+        wiring.route(machine.drain_outbox());
     }
-    wiring.absorb(engine.counters(), engine.batch_sizes());
+    wiring.absorb(machine.engine().counters(), machine.engine().batch_sizes());
 }
 
 #[cfg(test)]

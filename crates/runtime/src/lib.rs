@@ -23,7 +23,8 @@
 //!
 //! None of that logic is tied to threads. It lives in sans-I/O machines —
 //! [`LinkEngine`] (one party's end of every link), [`NodeMachine`] (the
-//! sequencing-node step), [`Topology`] (the link table) and
+//! sequencing-node step), [`HostMachine`] (the subscriber-host step),
+//! [`Topology`] (the link table) and
 //! [`PublishFront`] (ids and the reconfiguration ledger) — which turn
 //! arrivals and ticks into an outbox of [`Transmission`]s. [`Cluster`] is
 //! the shell that carries that outbox over channels; `seqnet-deploy` is
@@ -56,6 +57,7 @@ mod cluster;
 pub mod codec;
 mod engine;
 mod front;
+mod host;
 mod link;
 mod node;
 mod topo;
@@ -66,6 +68,7 @@ pub use engine::{
     LinkBody, LinkCounters, LinkEngine, LinkSnapshot, Transmission, TxLinkSnapshot, UnknownLink,
 };
 pub use front::{PendingReconfig, PublishFront};
+pub use host::HostMachine;
 pub use link::{LinkReceiver, LinkSender};
 pub use node::{NodeCounters, NodeMachine};
 pub use topo::Topology;

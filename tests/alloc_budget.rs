@@ -5,7 +5,8 @@
 //! message for the simulator and the threaded runtime over the same
 //! workload; the runtime budget is the simulator's figure plus a small
 //! tolerance, so a regression that reintroduces per-frame `Vec` churn on
-//! the wire path fails here before it shows up in BENCH_10.
+//! the wire path fails here before it shows up as
+//! `proc.allocs_per_delivery` on the benchmark's `runtime-flood`.
 //!
 //! The comparison is deliberately coarse (1.5× + 1 slack): thread startup
 //! and channel machinery differ legitimately between the drivers. What it
@@ -96,8 +97,8 @@ fn sim_allocs_per_msg(m: &Membership, rounds: usize) -> f64 {
 /// Allocator hits per delivered message through the threaded runtime with
 /// the coalescing scratch-buffer wire path on. The measured window spans
 /// publish → full delivery; cluster startup and shutdown (thread spawns,
-/// channel setup) are kept outside it, mirroring how `seqnet-bench load`
-/// measures.
+/// channel setup) are kept outside it, mirroring the measured window of
+/// `proc.allocs_per_delivery` on the benchmark's `runtime-flood`.
 fn runtime_allocs_per_msg(m: &Membership, rounds: usize) -> f64 {
     let (publishes, expected) = schedule(m, rounds);
     let mut cluster = Cluster::start(

@@ -207,6 +207,64 @@ fn live_scrape_and_span_reconstruction_survive_a_sigkill() {
     chrome::validate(&json).expect("chrome trace validates");
 }
 
+/// Loss injected inside the node processes is part of the deployment's
+/// account: a lossy socket cluster (no kill) reports the wire writes its
+/// nodes discarded in their live telemetry, in the merged scrape, and —
+/// after shutdown — in `DeployStats::frames_dropped`, and still delivers
+/// everything.
+#[test]
+fn node_side_loss_reaches_telemetry_scrape_and_stats() {
+    let m = membership();
+    let config = ClusterConfig {
+        seed: 11,
+        drop_probability: 0.1,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = DeployCluster::start_with_binary(&m, config, Some(seqnet_binary()))
+        .expect("socket cluster starts");
+
+    let mut expected = 0;
+    for _ in 0..3 {
+        for node in m.nodes() {
+            for group in m.groups_of(node).collect::<Vec<_>>() {
+                cluster.publish(node, group, vec![]).unwrap();
+                expected += m.group_size(group);
+            }
+        }
+    }
+    let delivered = cluster
+        .wait_for_deliveries(expected, Duration::from_secs(30))
+        .expect("retransmission recovers every dropped frame");
+    assert_eq!(delivered.values().map(Vec::len).sum::<usize>(), expected);
+
+    // Pump until the periodic telemetry poll has caught up with the drops.
+    let node_drops = |c: &DeployCluster| -> u64 {
+        c.telemetry().values().map(|t| t.stats.frames_dropped).sum()
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while node_drops(&cluster) == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no node reported a dropped frame at 10% loss"
+        );
+        let _ = cluster.next_delivery(Duration::from_millis(250));
+    }
+    let reported = node_drops(&cluster);
+    let scrape = samples(&cluster.prometheus_text());
+    assert_eq!(
+        scrape.get("seqnet_deploy_node_frames_dropped_total{epoch=\"0\"}"),
+        Some(&(reported as f64)),
+        "the merged scrape carries the nodes' drops"
+    );
+
+    let stats = cluster.shutdown();
+    assert!(
+        stats.frames_dropped >= reported,
+        "shutdown stats lost node-side drops: {} < {reported}",
+        stats.frames_dropped
+    );
+}
+
 /// The number of publishes in one burst (the steady counter counts
 /// publishes accepted, not fan-out deliveries).
 fn expected_sent(publishes: &[(NodeId, GroupId)]) -> f64 {

@@ -2,7 +2,9 @@
 
 use seqnet::core::{CoreError, DynamicOrderedPubSub, OrderedPubSub};
 use seqnet::membership::{GroupId, Membership, NodeId};
+use seqnet::obs::{EventKind, Recorder, TraceEvent};
 use seqnet::overlap::GraphBuilder;
+use std::sync::{Arc, Mutex};
 
 fn n(i: u32) -> NodeId {
     NodeId(i)
@@ -101,6 +103,56 @@ fn quiescent_reconfigure_is_rejected_while_a_handoff_is_pending() {
     bus.run_to_quiescence();
     assert!(!bus.reconfig_pending());
     assert_eq!(bus.epoch(), 1);
+}
+
+/// Publishes once, drains, then grows the group through `handoff` on a
+/// traced bus; returns the bus and the recorded stream.
+fn traced_handoff(
+    handoff: impl FnOnce(&mut OrderedPubSub, &Membership),
+) -> (OrderedPubSub, Vec<TraceEvent>) {
+    let m = base_membership();
+    let mut bus = OrderedPubSub::new(&m);
+    let rec = Arc::new(Mutex::new(Recorder::new()));
+    bus.set_trace_sink(rec.clone());
+    bus.publish(n(0), g(0), vec![]).unwrap();
+    bus.run_to_quiescence();
+    let mut grown = m.clone();
+    grown.subscribe(n(2), g(0));
+    handoff(&mut bus, &grown);
+    let events = rec.lock().unwrap().events().to_vec();
+    (bus, events)
+}
+
+/// Every epoch step is announced on the trace stream, whichever path
+/// took it: a quiescent `reconfigure` emits exactly one `EpochAdvance`
+/// carrying the new epoch — consumers that track the epoch from events
+/// (the Prometheus epoch families, span reconstruction) depend on it —
+/// and the stream is the one `begin_reconfigure` + `run_to_quiescence`
+/// produces on a drained bus.
+#[test]
+fn quiescent_reconfigure_announces_the_epoch_like_the_live_path() {
+    let (bus, quiescent) = traced_handoff(|bus, grown| {
+        bus.reconfigure(grown, GraphBuilder::new().build(grown))
+            .unwrap();
+    });
+    let advances: Vec<&TraceEvent> = quiescent
+        .iter()
+        .filter(|e| e.kind == EventKind::EpochAdvance)
+        .collect();
+    assert_eq!(advances.len(), 1, "one EpochAdvance per epoch step");
+    assert_eq!(bus.epoch(), 1);
+    assert_eq!(advances[0].detail, Some(bus.epoch()));
+    assert_eq!(
+        quiescent.last().map(|e| e.kind),
+        Some(EventKind::EpochAdvance)
+    );
+
+    let (_, live) = traced_handoff(|bus, grown| {
+        bus.begin_reconfigure(grown, GraphBuilder::new().build(grown))
+            .unwrap();
+        bus.run_to_quiescence();
+    });
+    assert_eq!(quiescent, live);
 }
 
 /// The dynamic facade surfaces the same structured error with in-flight
