@@ -1,15 +1,18 @@
 //! Non-blocking connection machinery: framed streams, partial-write
 //! buffering, and redial-with-backoff.
 //!
-//! The deployment never blocks on the network. Every [`Conn`] wraps a
-//! non-blocking `TcpStream`: reads drain whatever the kernel has into a
+//! No read or write ever blocks. Every [`Conn`] wraps a non-blocking
+//! `TcpStream`: reads drain whatever the kernel has into a
 //! [`FrameBuffer`] (tolerating arbitrarily short reads), writes spill into
 //! an outbound buffer whenever the kernel accepts less than a full frame
-//! (tolerating short writes), and both are pumped from the owner's poll
-//! loop. A codec error quarantines the connection — framing cannot be
+//! (tolerating short writes), and both are pumped from the owner's loop.
+//! A codec error quarantines the connection — framing cannot be
 //! resynchronized — and the dialing side falls back to [`Dialer`], which
-//! retries with capped exponential backoff.
+//! retries with capped exponential backoff. The one place a process does
+//! block is `Peers::wait`, between two rounds of that loop: until a
+//! connection is ready or a deadline has come, whichever is first.
 
+use crate::sys::{self, PollFd};
 use crate::topo::Proc;
 use crate::wire::{encode, CodecError, FrameBuffer, WireMsg};
 use seqnet_runtime::Transmission;
@@ -43,6 +46,9 @@ impl std::fmt::Display for ConnError {
 pub struct Conn {
     stream: TcpStream,
     rx: FrameBuffer,
+    /// Where `read(2)` lands before the bytes move into `rx`; allocated
+    /// and zeroed once per connection, not once per poll.
+    chunk: Box<[u8]>,
     out: Vec<u8>,
     out_at: usize,
     /// A close observed while complete messages were still buffered; those
@@ -66,6 +72,7 @@ impl Conn {
         Ok(Conn {
             stream,
             rx: FrameBuffer::new(),
+            chunk: vec![0; 65536].into_boxed_slice(),
             out: Vec::new(),
             out_at: 0,
             closing: None,
@@ -95,6 +102,12 @@ impl Conn {
         self.out.len() - self.out_at
     }
 
+    /// What a [`sys::poll`] should watch this connection for: readable,
+    /// and — only while a backlog is waiting on the kernel — writable.
+    pub(crate) fn poll_fd(&self) -> PollFd {
+        PollFd::new(&self.stream, self.backlog() > 0)
+    }
+
     /// Drains readable bytes and appends every complete message to the
     /// caller-owned `msgs` (the poll loops reuse one `Vec` across
     /// iterations so a quiet poll allocates nothing); returns how many
@@ -113,11 +126,10 @@ impl Conn {
             return Ok(0);
         }
         let before = msgs.len();
-        let mut chunk = [0u8; 65536];
         while self.closing.is_none() {
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => self.closing = Some(io::ErrorKind::UnexpectedEof),
-                Ok(n) => self.rx.push(&chunk[..n]),
+                Ok(n) => self.rx.push(&self.chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => self.closing = Some(e.kind()),
@@ -237,6 +249,9 @@ pub(crate) struct Peers {
     conns: HashMap<Proc, Conn>,
     dialers: BTreeMap<Proc, Dialer>,
     epochs: HashMap<Proc, u64>,
+    /// The socket set of the last [`wait`](Self::wait); scratch, so a
+    /// wait allocates nothing.
+    fds: Vec<PollFd>,
 }
 
 /// Delay after a first failed dial; doubles per failure up to the
@@ -268,6 +283,7 @@ impl Peers {
             conns: HashMap::new(),
             dialers,
             epochs: HashMap::new(),
+            fds: Vec::new(),
         }
     }
 
@@ -353,6 +369,50 @@ impl Peers {
                 body: t.body,
             });
         }
+    }
+
+    /// Writes the backlog of the connection to `proc` if it has grown past
+    /// `limit` bytes — for a caller that queues without pumping, so what
+    /// it queues is bounded by `limit` plus one message (as long as the
+    /// kernel takes the bytes). A failed write drops the connection.
+    pub(crate) fn flush_past(&mut self, proc: Proc, limit: usize) {
+        if let Some(conn) = self.conns.get_mut(&proc) {
+            if conn.backlog() > limit && conn.poll_write().is_err() {
+                self.drop_conn(proc);
+            }
+        }
+    }
+
+    /// Blocks until something this table could act on has happened — a
+    /// live connection or one of the caller's `extra` sockets (a node's
+    /// listener and its not-yet-introduced connections) is readable, a
+    /// connection with a backlog can take bytes again — or until the
+    /// earliest of `until` (`None`: the caller holds no deadline), the
+    /// next redial attempt and the end of a stall. A stalled connection is
+    /// not watched, so the bytes it is not reading cannot keep the caller
+    /// spinning. Call it after a full round of reads and
+    /// [`flush`](Self::flush): it reports nothing, the next round finds
+    /// out what is ready by trying.
+    pub(crate) fn wait(&mut self, extra: impl IntoIterator<Item = PollFd>, until: Option<Instant>) {
+        let now = Instant::now();
+        let mut until = self
+            .dialers
+            .values()
+            .map(|d| d.next_attempt)
+            .chain(until)
+            .min();
+        self.fds.clear();
+        self.fds.extend(extra);
+        for conn in self.conns.values() {
+            match conn.stalled_until {
+                Some(end) if now < end => until = Some(until.map_or(end, |u| u.min(end))),
+                _ => self.fds.push(conn.poll_fd()),
+            }
+        }
+        // An error here is not one a retry could hit differently (the
+        // set is a handful of open sockets); the next round's reads and
+        // writes surface whatever is wrong with them.
+        let _ = sys::poll(&mut self.fds, until);
     }
 
     /// Writes every connection's backlog, dropping the ones that fail.
@@ -467,6 +527,140 @@ mod tests {
         };
         assert!(closed);
         assert_eq!(got, vec![WireMsg::Shutdown], "reply arrived before close");
+    }
+
+    /// A connection table holding `conn` as its one live connection.
+    fn table_with(conn: Conn) -> Peers {
+        let mut peers = Peers::new(
+            WireMsg::Shutdown,
+            BTreeMap::new(),
+            Duration::from_millis(80),
+        );
+        peers.connected(Proc::Node(0), conn);
+        peers
+    }
+
+    /// How long `wait` blocked when given `timeout` from now.
+    fn waited(peers: &mut Peers, timeout: Duration) -> Duration {
+        let began = Instant::now();
+        peers.wait([], Some(began + timeout));
+        began.elapsed()
+    }
+
+    const MS: fn(u64) -> Duration = Duration::from_millis;
+
+    #[test]
+    fn wait_returns_on_a_readable_peer_and_at_the_deadline_when_idle() {
+        let (near, mut far) = pair();
+        let mut peers = table_with(near);
+        let idle = waited(&mut peers, MS(40));
+        assert!(idle >= MS(40), "nothing to wake it: {idle:?}");
+        assert!(idle < MS(1000), "and the deadline does: {idle:?}");
+
+        far.queue(&WireMsg::Shutdown);
+        far.poll_write().expect("write");
+        let woken = waited(&mut peers, MS(5000));
+        assert!(woken < MS(1000), "the byte woke it: {woken:?}");
+        // Readiness is level-triggered: until the round of reads `wait`
+        // is called after has happened, it keeps reporting.
+        assert!(waited(&mut peers, MS(5000)) < MS(1000));
+        let mut msgs = Vec::new();
+        peers.read_into(Proc::Node(0), &mut msgs);
+        assert_eq!(msgs, vec![WireMsg::Shutdown]);
+        assert!(waited(&mut peers, MS(40)) >= MS(40), "drained: idle again");
+    }
+
+    #[test]
+    fn a_stalled_connection_with_unread_bytes_does_not_cut_the_wait_short() {
+        let (near, mut far) = pair();
+        let mut peers = table_with(near);
+        far.queue(&WireMsg::Shutdown);
+        far.poll_write().expect("write");
+
+        // The stall ends first: the wait lasts exactly that long, then
+        // the bytes are fair game again.
+        let stall = |peers: &mut Peers, window| {
+            peers.conn_mut(Proc::Node(0)).expect("live").stalled_until =
+                Some(Instant::now() + window);
+        };
+        stall(&mut peers, MS(80));
+        let through_stall = waited(&mut peers, MS(5000));
+        assert!(through_stall >= MS(80), "woke mid-stall: {through_stall:?}");
+        assert!(through_stall < MS(1000), "slept past it: {through_stall:?}");
+        assert!(waited(&mut peers, MS(5000)) < MS(1000), "readable again");
+
+        // The caller's deadline ends first.
+        stall(&mut peers, MS(5000));
+        let to_deadline = waited(&mut peers, MS(30));
+        assert!(to_deadline >= MS(30), "woke mid-stall: {to_deadline:?}");
+        assert!(to_deadline < MS(1000), "slept past it: {to_deadline:?}");
+    }
+
+    #[test]
+    fn a_backlog_wakes_the_wait_when_the_kernel_can_take_more() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let near = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (mut far, _) = listener.accept().expect("accept");
+        let mut peers = table_with(Conn::new(near).expect("conn"));
+
+        // Far more than both kernel buffers hold, to a peer not reading.
+        let conn = peers.conn_mut(Proc::Node(0)).expect("live");
+        conn.out.resize(32 << 20, 0xAB);
+        peers.flush();
+        let stuck = peers.conn_mut(Proc::Node(0)).expect("still live").backlog();
+        assert!(stuck > 0, "the kernel took all 32 MiB");
+        let full = waited(&mut peers, MS(40));
+        assert!(
+            full >= MS(40),
+            "nothing readable, nothing writable: {full:?}"
+        );
+
+        // The peer starts reading: room appears, the wait ends, and the
+        // next flush moves bytes.
+        let reader = std::thread::spawn(move || {
+            let mut sink = vec![0u8; 1 << 20];
+            let mut total = 0usize;
+            while total < 32 << 20 {
+                match far.read(&mut sink) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => total += n,
+                }
+            }
+            total
+        });
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while peers.conn_mut(Proc::Node(0)).expect("live").backlog() > 0 {
+            assert!(Instant::now() < deadline, "backlog never drained");
+            let blocked = waited(&mut peers, MS(5000));
+            assert!(blocked < MS(4000), "POLLOUT never woke the wait");
+            peers.flush();
+        }
+        assert_eq!(reader.join().expect("reader"), 32 << 20);
+    }
+
+    #[test]
+    fn a_pending_redial_bounds_the_wait() {
+        // A port with nothing listening: the first attempt is due at
+        // once, fails, and schedules the next one REDIAL_BASE out.
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = probe.local_addr().expect("addr");
+        drop(probe);
+        let mut peers = Peers::new(
+            WireMsg::Shutdown,
+            BTreeMap::from([(Proc::Node(0), addr)]),
+            MS(80),
+        );
+        let began = Instant::now();
+        peers.wait([], None);
+        assert!(began.elapsed() < MS(1000), "a due dial is not slept on");
+        peers.poll_dials(|_, _, _| panic!("nothing is listening"));
+        let began = Instant::now();
+        peers.wait([], None);
+        let until_retry = began.elapsed();
+        assert!(
+            until_retry < MS(1000),
+            "no caller deadline, but the dialer has one"
+        );
     }
 
     #[test]

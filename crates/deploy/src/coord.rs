@@ -39,6 +39,12 @@ static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// [`NodeTelemetry`] snapshot over the existing control connections.
 const TELEMETRY_INTERVAL: Duration = Duration::from_millis(200);
 
+/// How many bytes [`DeployCluster::publish`] lets pile up unwritten on one
+/// connection before it writes them itself. A memory bound for a caller
+/// that publishes without ever waiting, not a tunable: a caller that
+/// waits flushes everything each time it does.
+const PUBLISH_BACKLOG: usize = 64 * 1024;
+
 /// Aggregated statistics for a socket deployment, shaped like the
 /// threaded runtime's `RuntimeStats` with deployment extras.
 #[derive(Debug, Clone, Default)]
@@ -260,9 +266,10 @@ impl DeployCluster {
         Ok(())
     }
 
-    /// One poll round: dial, read, process, retransmit, write. Called
-    /// from every front-end entry point; the coordinator has no thread of
-    /// its own.
+    /// One round of everything the coordinator owes the network: dial,
+    /// read, process, ask for telemetry, retransmit, write. Never blocks.
+    /// Every entry point that waits runs it before it waits — the
+    /// coordinator has no thread of its own — and `publish` does not.
     fn pump(&mut self) {
         // Establish due connections.
         let (topo, publisher) = (&self.topo, &mut self.publisher);
@@ -311,6 +318,21 @@ impl DeployCluster {
         net.flush();
     }
 
+    /// Blocks until the network has something for the next
+    /// [`pump`](Self::pump) — or until `until`, the next telemetry round,
+    /// or the publisher's earliest retransmission, whichever is first.
+    /// (The hosts only ever send acks; they hold no timer.) Call it right
+    /// after a pump, never instead of one.
+    fn wait(&mut self, until: Instant) {
+        let telemetry = self.last_telemetry_poll + TELEMETRY_INTERVAL;
+        let until = self
+            .publisher
+            .next_deadline()
+            .map_or(telemetry, |retransmit| retransmit.min(telemetry))
+            .min(until);
+        self.net.wait([], Some(until));
+    }
+
     /// One link frame off a connection, handed to the party it addresses:
     /// acks to the publisher end, data to a host end and on through that
     /// host's receiver core. A frame on an unknown link, or addressed to
@@ -349,6 +371,20 @@ impl DeployCluster {
 
     /// Publishes a message to `group`'s ingress sequencing node over the
     /// reliable publisher link, exactly as the threaded runtime does.
+    ///
+    /// This call only queues: the message gets its id, its link sequence
+    /// number and its place in the retransmission buffer, and its bytes
+    /// join the ingress connection's outbound buffer. They move when the
+    /// caller next waits — [`next_delivery`](Self::next_delivery),
+    /// [`wait_for_deliveries`](Self::wait_for_deliveries),
+    /// [`complete_reconfigure`](Self::complete_reconfigure),
+    /// [`run_chaos_plan`](Self::run_chaos_plan),
+    /// [`shutdown`](Self::shutdown) — or at once when that buffer passes
+    /// 64 KiB, so a caller that publishes in a burst pays one `write(2)`
+    /// per burst, not one network round per message. A connection that
+    /// dies with bytes still queued loses nothing: the link layer replays
+    /// every unacknowledged publish on the reconnect.
+    ///
     /// While a reconfiguration is staged (between
     /// [`begin_reconfigure`](Self::begin_reconfigure) and
     /// [`complete_reconfigure`](Self::complete_reconfigure)) the publish
@@ -373,7 +409,12 @@ impl DeployCluster {
             group,
             payload.into(),
         )?;
-        self.pump();
+        let net = &mut self.net;
+        for t in self.publisher.drain_outbox() {
+            let ingress = Proc::owner(t.to);
+            net.route(t);
+            net.flush_past(ingress, PUBLISH_BACKLOG);
+        }
         Ok(id)
     }
 
@@ -422,12 +463,15 @@ impl DeployCluster {
             return Err(RuntimeError::NoPendingReconfig);
         }
         let deadline = Instant::now() + timeout;
-        while !self.front.drained() {
+        loop {
+            self.pump();
+            if self.front.drained() {
+                break;
+            }
             if Instant::now() >= deadline {
                 return Err(self.front.drain_timeout());
             }
-            self.pump();
-            std::thread::sleep(Duration::from_micros(200));
+            self.wait(deadline);
         }
         let pending = self.front.take_pending().expect("checked above");
         let next_epoch = self.spec.epoch + 1;
@@ -459,19 +503,25 @@ impl DeployCluster {
         Ok(next_epoch)
     }
 
-    /// Receives the next delivery from any host within `timeout`, pumping
-    /// the network while waiting.
+    /// Receives the next delivery from any host within `timeout`. A
+    /// delivery already queued is returned at once; otherwise the network
+    /// is pumped (which also sends whatever `publish` queued) and waited
+    /// on until one arrives. A zero `timeout` pumps once and does not
+    /// block.
     pub fn next_delivery(&mut self, timeout: Duration) -> Option<(NodeId, Message)> {
+        if let Some(d) = self.deliveries.pop_front() {
+            return Some(d);
+        }
         let deadline = Instant::now() + timeout;
         loop {
+            self.pump();
             if let Some(d) = self.deliveries.pop_front() {
                 return Some(d);
             }
             if Instant::now() >= deadline {
                 return None;
             }
-            self.pump();
-            std::thread::sleep(Duration::from_micros(200));
+            self.wait(deadline);
         }
     }
 
@@ -584,11 +634,10 @@ impl DeployCluster {
             let target = t0 + at;
             loop {
                 self.pump();
-                let now = Instant::now();
-                if now >= target {
+                if Instant::now() >= target {
                     break;
                 }
-                std::thread::sleep((target - now).min(Duration::from_millis(1)));
+                self.wait(target);
             }
             match action {
                 Action::Down => {
@@ -627,11 +676,14 @@ impl DeployCluster {
                 }
             }
             let deadline = Instant::now() + Duration::from_secs(5);
-            while Instant::now() < deadline
-                && running.iter().any(|idx| !self.node_stats.contains_key(idx))
-            {
+            loop {
                 self.pump();
-                std::thread::sleep(Duration::from_micros(500));
+                if Instant::now() >= deadline
+                    || running.iter().all(|idx| self.node_stats.contains_key(idx))
+                {
+                    break;
+                }
+                self.wait(deadline);
             }
             for (_, mut child) in self.children.drain() {
                 let _ = child.kill();
@@ -844,6 +896,74 @@ impl Drop for DeployCluster {
 mod tests {
     use super::*;
     use seqnet_core::proto::Frame;
+
+    #[test]
+    fn publish_only_queues_until_the_backlog_passes_its_bound() {
+        let membership = Membership::from_groups([
+            (GroupId(0), vec![NodeId(0), NodeId(1), NodeId(2)]),
+            (GroupId(1), vec![NodeId(1), NodeId(2), NodeId(3)]),
+        ]);
+        // Children that exit at once; this test stands in for the node
+        // processes with listeners that accept and never read.
+        let mut cluster = DeployCluster::start_with_binary(
+            &membership,
+            ClusterConfig::default(),
+            Some(PathBuf::from("/bin/true")),
+        )
+        .expect("coordinator starts");
+        let listeners: Vec<_> = cluster
+            .spec
+            .ports
+            .iter()
+            .map(|&port| crate::sys::listen_reuseaddr(port).expect("the reserved port is free"))
+            .collect();
+        cluster.pump();
+        let _far_ends: Vec<_> = listeners
+            .iter()
+            .map(|l| l.accept().expect("the coordinator dialed"))
+            .collect();
+
+        let ingress = cluster
+            .topo
+            .graph
+            .ingress(GroupId(0))
+            .expect("g0 has a path");
+        let ingress = Proc::Node(cluster.topo.atom_node[&ingress]);
+        let backlog = |cluster: &mut DeployCluster| {
+            cluster.net.conn_mut(ingress).expect("connected").backlog()
+        };
+        assert_eq!(backlog(&mut cluster), 0, "the handshake was flushed");
+
+        let publish = |cluster: &mut DeployCluster| {
+            cluster
+                .publish(NodeId(0), GroupId(0), vec![7u8; 1024])
+                .expect("g0 exists");
+        };
+        publish(&mut cluster);
+        let frame = backlog(&mut cluster);
+        assert!(frame > 1024, "one publish, one queued frame: {frame} B");
+        // Up to the bound nothing is written: the backlog is exactly what
+        // was published.
+        let below = PUBLISH_BACKLOG / frame;
+        for published in 2..=below {
+            publish(&mut cluster);
+            assert_eq!(backlog(&mut cluster), published * frame);
+        }
+        // Past it the bytes move, and never more than the bound plus the
+        // frame that crossed it stays behind.
+        let mut written = false;
+        for _ in 0..4 * below {
+            publish(&mut cluster);
+            let queued = backlog(&mut cluster);
+            assert!(queued <= PUBLISH_BACKLOG + frame, "{queued} B queued");
+            written |= queued <= frame;
+        }
+        assert!(written, "crossing the bound wrote the backlog out");
+        // Nobody will answer a Shutdown: skip the wait for stats.
+        for node in 0..cluster.num_sequencing_nodes() {
+            cluster.kill_node(node);
+        }
+    }
 
     #[test]
     fn hostile_link_frames_are_discarded_by_the_coordinator() {

@@ -19,9 +19,11 @@
 //! - [`wire`]: length-prefixed frame codec, tolerant of short reads and
 //!   partial writes, rejecting garbage without panicking.
 //! - [`conn`]: non-blocking framed connections, capped-backoff redialing,
-//!   and the per-process connection table both kinds of process keep.
+//!   and the per-process connection table both kinds of process keep —
+//!   and sleep in, until a socket is ready or a deadline has come.
 //! - [`sys`]: the one `unsafe` corner — `SO_REUSEADDR` listener binding so
-//!   a SIGKILL-respawned node can reclaim its port immediately.
+//!   a SIGKILL-respawned node can reclaim its port immediately, and the
+//!   `ppoll(2)` behind that sleep.
 //! - [`topo`]: which process owns which party. The link table itself is
 //!   `seqnet_runtime::Topology`, re-derived by every process from
 //!   `(membership, seed)`; nothing is shipped, everything is recomputed.

@@ -6,14 +6,16 @@
 //! and lower-index peers, dials higher-index peers, and then loops —
 //! frames off the connections into the machine, a checkpoint renamed into
 //! place when the machine asks for one, the machine's outbox onto the
-//! connections. Group-commit, failure detection and replay accounting are
-//! the machine's, shared with the threaded runtime's node thread. SIGKILL
-//! can land anywhere in this loop; correctness rests solely on the
-//! snapshot discipline, never on a clean shutdown path.
+//! connections, then asleep until a socket is ready or the machine's next
+//! deadline has come. Group-commit, failure detection and replay
+//! accounting are the machine's, shared with the threaded runtime's node
+//! thread. SIGKILL can land anywhere in this loop; correctness rests
+//! solely on the snapshot discipline, never on a clean shutdown path.
 
 use crate::conn::{Conn, Peers};
 use crate::snapshot::{snapshot_path, DiskSnapshot};
 use crate::spec::ClusterSpec;
+use crate::sys::PollFd;
 use crate::topo::{Proc, Topology};
 use crate::wire::{NodeTelemetry, NodeWireStats, WireMsg};
 use seqnet_core::proto::trace::{Actor, EventKind, TraceEvent, TraceSink};
@@ -283,18 +285,21 @@ pub fn run_node(spec: &ClusterSpec, idx: usize, incarnation: u64) -> io::Result<
             }
         }
         if let Some(via) = control.shutdown_via {
-            // Reply with the node's counters, then drain the socket.
+            // Reply with the node's counters, then drain the socket: the
+            // wait wakes when the kernel can take more of the backlog, and
+            // a failed write drops the connection, which ends the drain.
             if let Some(conn) = net.conn_mut(via) {
                 conn.queue(&WireMsg::Stats(wire_stats(&node)));
-                let deadline = Instant::now() + Duration::from_secs(2);
-                while conn.backlog() > 0 && Instant::now() < deadline {
-                    if conn.poll_write().is_err() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
             }
-            return Ok(());
+            let deadline = Instant::now() + Duration::from_secs(2);
+            loop {
+                net.flush();
+                let unsent = net.conn_mut(via).map_or(0, |conn| conn.backlog());
+                if unsent == 0 || Instant::now() >= deadline {
+                    return Ok(());
+                }
+                net.wait([], Some(deadline));
+            }
         }
 
         let now = Instant::now();
@@ -321,7 +326,9 @@ pub fn run_node(spec: &ClusterSpec, idx: usize, incarnation: u64) -> io::Result<
         node.drain_outbox().for_each(|t| net.route(t));
         net.flush();
 
-        std::thread::sleep(Duration::from_micros(500));
+        let sockets = std::iter::once(PollFd::new(&listener, false))
+            .chain(pending.iter().map(|conn| conn.poll_fd()));
+        net.wait(sockets, node.next_deadline());
     }
 }
 

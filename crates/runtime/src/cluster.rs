@@ -566,14 +566,13 @@ impl Cluster {
     }
 
     /// Waits for a note on the live channel until `deadline`, pumping the
-    /// publisher meanwhile, and books it in the delivery ledger.
+    /// publisher meanwhile, and books it in the delivery ledger. A
+    /// deadline already past still pumps once and takes a note that is
+    /// waiting — a zero timeout polls, it does not give up unasked.
     fn recv_note(&mut self, deadline: Instant) -> Option<(NodeId, Message)> {
         loop {
             self.pump_publisher();
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
             match self
                 .notes
                 .recv_timeout(remaining.min(Duration::from_millis(2)))
@@ -582,6 +581,7 @@ impl Cluster {
                     self.front.note_delivery();
                     return Some(note);
                 }
+                Err(RecvTimeoutError::Timeout) if remaining.is_zero() => return None,
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return None,
             }

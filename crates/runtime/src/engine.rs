@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use seqnet_core::proto::{Frame, Peer};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Body of a link-level frame. The threaded runtime moves these over
 /// channels; the socket deployment encodes them as the body of its
@@ -306,8 +306,9 @@ impl LinkEngine {
     /// [`LinkBody::Data`].
     pub fn flush_staged(&mut self, topo: &Topology) {
         self.staged = 0;
+        let now = Instant::now();
         for (&link, sender) in &mut self.senders {
-            sender.release_held_wire(&mut self.single_scratch, &mut self.run_scratch);
+            sender.release_held_wire_at(now, &mut self.single_scratch, &mut self.run_scratch);
             let (_, to) = topo.links[link as usize];
             // Merge the two streams back into sequence order, so the
             // receiver sees an in-order wire and never has to buffer.
@@ -419,16 +420,30 @@ impl LinkEngine {
     }
 
     /// Retransmits overdue frames on all outgoing links. Runs every tick
-    /// on every party, so the sweep goes through reusable scratch: with
-    /// nothing due — the healthy steady state — it allocates nothing.
+    /// on every party, so with nothing due — the healthy steady state —
+    /// it reads the clock, compares it with each link's cached deadline,
+    /// and neither walks a retransmission buffer nor allocates.
     pub fn retransmit_due(&mut self, topo: &Topology) {
+        let now = Instant::now();
         for (&link, sender) in &mut self.senders {
-            sender.due_for_retransmit_into(&mut self.due_scratch);
+            sender.due_at_into(now, &mut self.due_scratch);
             let (_, to) = topo.links[link as usize];
             for (seq, data) in self.due_scratch.drain(..) {
                 self.wire.transmit(to, link, seq, LinkBody::Data(data));
             }
         }
+    }
+
+    /// When [`retransmit_due`](Self::retransmit_due) could next find
+    /// something to do — the earliest of the links' cached deadlines (a
+    /// lower bound, see [`LinkSender::next_deadline`]) — or `None` while
+    /// nothing unstaged awaits an acknowledgment. A shell that sleeps
+    /// wakes no later than this.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.senders
+            .values()
+            .filter_map(LinkSender::next_deadline)
+            .min()
     }
 
     /// Replays the unacknowledged (non-staged) suffix of every link whose
@@ -444,12 +459,13 @@ impl LinkEngine {
         epoch: u64,
         reconnected: impl Fn(Peer) -> bool,
     ) {
+        let now = Instant::now();
         for (&link, sender) in &mut self.senders {
             let (_, to) = topo.links[link as usize];
             if !reconnected(to) {
                 continue;
             }
-            for (seq, data) in sender.reconnect_replay(epoch) {
+            for (seq, data) in sender.reconnect_replay_at(epoch, now) {
                 self.wire.transmit(to, link, seq, LinkBody::Data(data));
             }
         }
@@ -537,10 +553,11 @@ impl LinkEngine {
                 },
             );
         }
+        let now = Instant::now();
         for tx in &snap.tx {
             self.senders.insert(
                 tx.link,
-                LinkSender::resume(self.timeout, self.cap, tx.next_seq, tx.frames.clone()),
+                LinkSender::resume_at(self.timeout, self.cap, tx.next_seq, tx.frames.clone(), now),
             );
         }
         Ok(())

@@ -17,6 +17,12 @@
 //! link and rebuild them after a restart, while
 //! [`LinkSender::acknowledge_through`] lets the recovering side confirm a
 //! whole prefix with a single cumulative ack.
+//!
+//! Every operation that arms a retransmission timer has an `_at` form
+//! taking the clock reading; the forms without read the clock themselves.
+//! The sender caches a lower bound on its earliest timer
+//! ([`LinkSender::next_deadline`]): a sweep before it returns without
+//! looking at a frame, and a shell can sleep until it.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -33,6 +39,11 @@ struct Pending<T> {
     /// Held frames are registered (they own a sequence number and appear
     /// in snapshots) but are exempt from retransmission until released.
     held: bool,
+}
+
+/// The earlier of a deadline that may not exist yet and one that does.
+fn earlier(known: Option<Instant>, due: Instant) -> Instant {
+    known.map_or(due, |known| known.min(due))
 }
 
 /// Sender half of a reliable FIFO link: assigns link sequence numbers and
@@ -73,6 +84,12 @@ pub struct LinkSender<T> {
     /// been issued (0 = never). Guards against duplicate bursts when a
     /// transport flaps faster than acks come back.
     last_replay_epoch: u64,
+    /// A lower bound on the `next_due` of every unheld pending frame;
+    /// `None` when no such frame has been registered since the bound was
+    /// last exact. Arming a timer lowers it, a sweep that runs recomputes
+    /// it, and an acknowledgment leaves it alone — so it may lie earlier
+    /// than the true minimum, never later.
+    earliest_due: Option<Instant>,
 }
 
 impl<T: Clone> LinkSender<T> {
@@ -93,6 +110,7 @@ impl<T: Clone> LinkSender<T> {
             cap: cap.max(timeout),
             retransmissions: 0,
             last_replay_epoch: 0,
+            earliest_due: None,
         }
     }
 
@@ -101,9 +119,20 @@ impl<T: Clone> LinkSender<T> {
     /// Restored frames are immediately due for retransmission, since the
     /// peer may never have received them.
     pub fn resume(timeout: Duration, cap: Duration, next_seq: u64, frames: Vec<(u64, T)>) -> Self {
-        let now = Instant::now();
+        Self::resume_at(timeout, cap, next_seq, frames, Instant::now())
+    }
+
+    /// [`resume`](Self::resume) at clock reading `now`.
+    pub fn resume_at(
+        timeout: Duration,
+        cap: Duration,
+        next_seq: u64,
+        frames: Vec<(u64, T)>,
+        now: Instant,
+    ) -> Self {
         let mut sender = Self::with_backoff(timeout, cap);
         sender.next_seq = next_seq.max(1);
+        sender.earliest_due = (!frames.is_empty()).then_some(now);
         for (seq, payload) in frames {
             sender.unacked.insert(
                 seq,
@@ -121,7 +150,7 @@ impl<T: Clone> LinkSender<T> {
     /// Registers a fresh payload for transmission; returns its link
     /// sequence number and a clone to put on the wire.
     pub fn send(&mut self, payload: T) -> (u64, T) {
-        self.send_inner(payload, Instant::now(), false)
+        self.send_at(payload, Instant::now(), false)
     }
 
     /// Registers a payload but *holds* it: the frame owns a sequence
@@ -131,12 +160,17 @@ impl<T: Clone> LinkSender<T> {
     /// Used to keep output frames from escaping a node before the
     /// snapshot that contains them is taken.
     pub fn send_held(&mut self, payload: T) -> (u64, T) {
-        self.send_inner(payload, Instant::now(), true)
+        self.send_at(payload, Instant::now(), true)
     }
 
-    fn send_inner(&mut self, payload: T, now: Instant, held: bool) -> (u64, T) {
+    /// [`send`](Self::send) (or, with `held`, [`send_held`](Self::send_held))
+    /// at clock reading `now`.
+    pub fn send_at(&mut self, payload: T, now: Instant, held: bool) -> (u64, T) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        if !held {
+            self.arm(now + self.timeout);
+        }
         self.unacked.insert(
             seq,
             Pending {
@@ -175,7 +209,18 @@ impl<T: Clone> LinkSender<T> {
         singles: &mut Vec<(u64, T)>,
         runs: &mut Vec<(u64, Vec<T>)>,
     ) {
-        let now = Instant::now();
+        self.release_held_wire_at(Instant::now(), singles, runs);
+    }
+
+    /// [`release_held_wire`](Self::release_held_wire) at clock reading
+    /// `now`.
+    pub fn release_held_wire_at(
+        &mut self,
+        now: Instant,
+        singles: &mut Vec<(u64, T)>,
+        runs: &mut Vec<(u64, Vec<T>)>,
+    ) {
+        let mut released = false;
         let mut pending_single: Option<(u64, T)> = None;
         let mut cur_run: Option<(u64, Vec<T>)> = None;
         let mut prev_seq: Option<u64> = None;
@@ -186,6 +231,7 @@ impl<T: Clone> LinkSender<T> {
             pending.held = false;
             pending.interval = self.timeout;
             pending.next_due = now + self.timeout;
+            released = true;
             let payload = pending.payload.clone();
             if prev_seq == Some(seq.wrapping_sub(1)) {
                 // Continues the current run: a buffered single upgrades
@@ -215,12 +261,38 @@ impl<T: Clone> LinkSender<T> {
         if let Some(r) = cur_run.take() {
             runs.push(r);
         }
+        if released {
+            self.arm(now + self.timeout);
+        }
+    }
+
+    /// Lowers the cached deadline to cover a timer armed for `due`.
+    fn arm(&mut self, due: Instant) {
+        self.earliest_due = Some(earlier(self.earliest_due, due));
+    }
+
+    /// When the next retransmission sweep could find something to do, or
+    /// `None` if it could not: no unheld frame is pending. The instant is
+    /// a lower bound — acknowledgments do not move it, so it may lie
+    /// before the earliest timer actually still armed, never after it. A
+    /// sweep before it is a no-op; a sweep at or after it makes it exact.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.earliest_due
     }
 
     /// Processes an acknowledgment: drops the frame from the buffer.
     /// Duplicate acks are ignored.
     pub fn acknowledge(&mut self, seq: u64) {
         self.unacked.remove(&seq);
+        self.disarm_if_empty();
+    }
+
+    /// With nothing left to retransmit there is no deadline — the one
+    /// case where an acknowledgment makes the cached bound exact for free.
+    fn disarm_if_empty(&mut self) {
+        if self.unacked.is_empty() {
+            self.earliest_due = None;
+        }
     }
 
     /// Cumulative acknowledgment: drops every frame with sequence number
@@ -233,6 +305,7 @@ impl<T: Clone> LinkSender<T> {
             }
             None => self.unacked.clear(),
         }
+        self.disarm_if_empty();
     }
 
     /// Appends the frames due for retransmission (unacknowledged past
@@ -245,10 +318,21 @@ impl<T: Clone> LinkSender<T> {
         self.due_at_into(Instant::now(), due);
     }
 
-    fn due_at_into(&mut self, now: Instant, due: &mut Vec<(u64, T)>) {
+    /// [`due_for_retransmit_into`](Self::due_for_retransmit_into) at clock
+    /// reading `now`. Before [`next_deadline`](Self::next_deadline) no
+    /// frame can be due and the buffer is not walked; otherwise the walk
+    /// also recomputes the deadline exactly.
+    pub fn due_at_into(&mut self, now: Instant, due: &mut Vec<(u64, T)>) {
+        if self.earliest_due.is_none_or(|earliest| now < earliest) {
+            return;
+        }
         let before = due.len();
+        let mut earliest = None::<Instant>;
         for (&seq, pending) in self.unacked.iter_mut() {
-            if !pending.held && now >= pending.next_due {
+            if pending.held {
+                continue;
+            }
+            if now >= pending.next_due {
                 pending.interval = pending
                     .interval
                     .checked_mul(2)
@@ -257,7 +341,9 @@ impl<T: Clone> LinkSender<T> {
                 pending.next_due = now + pending.interval;
                 due.push((seq, pending.payload.clone()));
             }
+            earliest = Some(earlier(earliest, pending.next_due));
         }
+        self.earliest_due = earliest;
         self.retransmissions += (due.len() - before) as u64;
     }
 
@@ -277,11 +363,15 @@ impl<T: Clone> LinkSender<T> {
     /// would re-burst the full buffer onto a link that is already
     /// retransmitting it.
     pub fn reconnect_replay(&mut self, epoch: u64) -> Vec<(u64, T)> {
+        self.reconnect_replay_at(epoch, Instant::now())
+    }
+
+    /// [`reconnect_replay`](Self::reconnect_replay) at clock reading `now`.
+    pub fn reconnect_replay_at(&mut self, epoch: u64, now: Instant) -> Vec<(u64, T)> {
         if epoch <= self.last_replay_epoch {
             return Vec::new();
         }
         self.last_replay_epoch = epoch;
-        let now = Instant::now();
         let mut burst = Vec::new();
         for (&seq, pending) in self.unacked.iter_mut() {
             if pending.held {
@@ -291,6 +381,8 @@ impl<T: Clone> LinkSender<T> {
             pending.next_due = now + self.timeout;
             burst.push((seq, pending.payload.clone()));
         }
+        // Every unheld frame now carries the same timer.
+        self.earliest_due = (!burst.is_empty()).then_some(now + self.timeout);
         self.retransmissions += burst.len() as u64;
         burst
     }
@@ -513,7 +605,7 @@ mod tests {
         let base = Instant::now();
         let ms = Duration::from_millis;
         let mut tx = LinkSender::with_backoff(ms(10), ms(40));
-        let (s1, _) = tx.send_inner("x", base, false);
+        let (s1, _) = tx.send_at("x", base, false);
 
         // Not due before the initial timeout elapses.
         assert!(due_at(&mut tx, base + ms(9)).is_empty());
@@ -531,11 +623,41 @@ mod tests {
     }
 
     #[test]
+    fn deadline_bounds_the_earliest_timer_and_gates_the_sweep() {
+        let base = Instant::now();
+        let ms = Duration::from_millis;
+        let mut tx = LinkSender::with_backoff(ms(10), ms(40));
+        assert_eq!(tx.next_deadline(), None, "nothing pending, no deadline");
+        tx.send_at("held", base, true);
+        assert_eq!(tx.next_deadline(), None, "held frames arm no timer");
+        let (s2, _) = tx.send_at("a", base + ms(1), false);
+        let (s3, _) = tx.send_at("b", base + ms(2), false);
+        assert_eq!(tx.next_deadline(), Some(base + ms(11)));
+
+        // An ack leaves the bound alone: early, which is allowed.
+        tx.acknowledge(s2);
+        assert_eq!(tx.next_deadline(), Some(base + ms(11)));
+        // A sweep at the stale bound finds nothing due and makes it exact.
+        assert!(due_at(&mut tx, base + ms(11)).is_empty());
+        assert_eq!(tx.next_deadline(), Some(base + ms(12)));
+        // A sweep at the exact bound retransmits and re-arms.
+        assert_eq!(due_at(&mut tx, base + ms(12)), vec![(s3, "b")]);
+        assert_eq!(tx.next_deadline(), Some(base + ms(32)));
+
+        // Releasing the held frame arms its timer; acking everything
+        // disarms the sender.
+        tx.release_held_wire_at(base + ms(13), &mut Vec::new(), &mut Vec::new());
+        assert_eq!(tx.next_deadline(), Some(base + ms(23)));
+        tx.acknowledge_through(s3);
+        assert_eq!(tx.next_deadline(), None);
+    }
+
+    #[test]
     fn fixed_interval_when_cap_equals_timeout() {
         let base = Instant::now();
         let ms = Duration::from_millis;
         let mut tx = LinkSender::new(ms(10));
-        let (s1, _) = tx.send_inner("x", base, false);
+        let (s1, _) = tx.send_at("x", base, false);
         assert_eq!(due_at(&mut tx, base + ms(10)), vec![(s1, "x")]);
         assert_eq!(due_at(&mut tx, base + ms(20)), vec![(s1, "x")]);
         assert_eq!(due_at(&mut tx, base + ms(30)), vec![(s1, "x")]);
@@ -713,8 +835,8 @@ mod tests {
         let base = Instant::now();
         let ms = Duration::from_millis;
         let mut tx = LinkSender::with_backoff(ms(10), ms(40));
-        tx.send_inner("a", base, true);
-        tx.send_inner("b", base, true);
+        tx.send_at("a", base, true);
+        tx.send_at("b", base, true);
         let (_, runs) = release_wire(&mut tx);
         assert_eq!(runs, vec![(1, vec!["a", "b"])]);
         // Frames retransmit individually, on their own schedule. (The

@@ -296,6 +296,32 @@ impl NodeMachine {
         &self.newly_suspected
     }
 
+    /// The earliest instant at which [`snapshot`](Self::snapshot) or
+    /// [`tick`](Self::tick) will have something to do without a new
+    /// arrival: the next checkpoint (only while something is dirty or
+    /// staged), the next heartbeat, the first watched peer to fall silent
+    /// for too long, the earliest retransmission. `None` for a node with
+    /// none of these — nothing to commit, no node links, nothing
+    /// unacknowledged. A shell that blocks on its transport wakes no later
+    /// than this, so what a node does and when does not depend on how
+    /// often the shell looks.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        let commit = (self.dirty || self.engine.staged_len() > 0)
+            .then(|| self.last_snapshot + self.snapshot_interval);
+        let heartbeat =
+            (!self.hb_out.is_empty()).then(|| self.last_heartbeat + self.heartbeat_interval);
+        let suspicion = self
+            .watched
+            .values()
+            .filter(|&&(_, suspected)| !suspected)
+            .map(|&(seen, _)| seen + self.suspect_after)
+            .min();
+        [commit, heartbeat, suspicion, self.engine.next_deadline()]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
     /// Drains the pending transmissions for the shell to route.
     pub fn drain_outbox(&mut self) -> std::vec::Drain<'_, Transmission> {
         self.engine.drain_outbox()

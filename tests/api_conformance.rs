@@ -91,6 +91,54 @@ fn engine_can_move_across_threads() {
     assert_eq!(handle.join().unwrap(), 1);
 }
 
+/// A zero timeout is a poll, not a no-op: it must still move what is
+/// queued and take what is waiting, so a caller that only ever calls
+/// `next_delivery(Duration::ZERO)` between other work sees every
+/// delivery. Both drivers.
+#[test]
+fn a_zero_timeout_still_makes_progress() {
+    use seqnet::deploy::DeployCluster;
+    use seqnet::runtime::{Cluster, ClusterConfig};
+    use std::time::{Duration, Instant};
+
+    /// Polls `next` with no timeout, napping between polls, until it has
+    /// produced `owed` deliveries.
+    fn poll_out(owed: usize, mut next: impl FnMut(Duration) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut got = 0;
+        while got < owed {
+            assert!(Instant::now() < deadline, "{got}/{owed} by polling");
+            if next(Duration::ZERO) {
+                got += 1;
+            } else {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    let m = Membership::from_groups([
+        (GroupId(0), vec![NodeId(0), NodeId(1), NodeId(2)]),
+        (GroupId(1), vec![NodeId(1), NodeId(2), NodeId(3)]),
+    ]);
+
+    let mut threads = Cluster::start(&m, ClusterConfig::default());
+    threads.publish(NodeId(0), GroupId(0), vec![1]).unwrap();
+    threads.publish(NodeId(1), GroupId(1), vec![2]).unwrap();
+    poll_out(6, |t| threads.next_delivery(t).is_some());
+    threads.shutdown();
+
+    let binary = option_env!("CARGO_BIN_EXE_seqnet")
+        .map(std::path::PathBuf::from)
+        .or_else(|| std::env::var("SEQNET_BIN").ok().map(Into::into))
+        .expect("no seqnet binary for node processes: set SEQNET_BIN");
+    let mut sockets = DeployCluster::start_with_binary(&m, ClusterConfig::default(), Some(binary))
+        .expect("socket cluster starts");
+    sockets.publish(NodeId(0), GroupId(0), vec![1]).unwrap();
+    sockets.publish(NodeId(1), GroupId(1), vec![2]).unwrap();
+    poll_out(6, |t| sockets.next_delivery(t).is_some());
+    sockets.shutdown();
+}
+
 /// Compile-only: names every entry point `benchmark/README.md` lists under
 /// "Public entry points the benchmark depends on", with the signature the
 /// benchmark calls it by. `benchmark/` is a package of its own that builds
