@@ -2,7 +2,8 @@
 //! the chaos controller for a multi-process cluster.
 //!
 //! [`DeployCluster::start`] reserves one localhost port per sequencing
-//! node, writes the spec file, spawns one real OS process per node, and
+//! node (and holds the reservations for as long as it lives), writes the
+//! spec file, spawns one real OS process per node, and
 //! dials each of them. The coordinator terminates the publisher end and
 //! every host end of the link table — one [`LinkEngine`] for the publisher
 //! and one [`HostMachine`] per subscriber host, exactly what the threaded
@@ -18,6 +19,7 @@ use crate::chaos::{ChaosKind, ChaosPlan};
 use crate::conn::Peers;
 use crate::node::unix_micros;
 use crate::spec::ClusterSpec;
+use crate::sys::{reserve_port, PortReservation};
 use crate::topo::{Proc, Topology};
 use crate::wire::{NodeTelemetry, NodeWireStats, WireBody, WireMsg};
 use seqnet_core::proto::trace::{TraceEvent, TraceSink};
@@ -80,6 +82,9 @@ pub struct DeployCluster {
     spec: ClusterSpec,
     topo: Topology,
     binary: PathBuf,
+    /// Every node's port, held from before the spec names it until the
+    /// cluster is dropped, so no respawn finds its port taken either.
+    _ports: Vec<PortReservation>,
     children: HashMap<usize, Child>,
     incarnations: Vec<u64>,
     /// The connections to the node processes; the coordinator dials them
@@ -184,26 +189,18 @@ impl DeployCluster {
         ));
         std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
 
-        // Reserve one port per node: bind :0, note the port, release it.
-        // Children rebind with SO_REUSEADDR plus a retry loop, absorbing
-        // both this race and post-SIGKILL TIME_WAIT.
-        let mut ports = Vec::with_capacity(topo.num_nodes);
-        for _ in 0..topo.num_nodes {
-            let probe = std::net::TcpListener::bind("127.0.0.1:0")
-                .map_err(|e| format!("reserve port: {e}"))?;
-            ports.push(
-                probe
-                    .local_addr()
-                    .map_err(|e| format!("reserve port: {e}"))?
-                    .port(),
-            );
-        }
+        // One port per node, bound here and never listened on: the
+        // children bind theirs by number with SO_REUSEADDR, which also
+        // absorbs post-SIGKILL TIME_WAIT.
+        let reserved = (0..topo.num_nodes)
+            .map(|_| reserve_port().map_err(|e| format!("reserve port: {e}")))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let spec = ClusterSpec {
             config: config.clone(),
             membership: membership.clone(),
             epoch: config_epoch,
-            ports,
+            ports: reserved.iter().map(PortReservation::port).collect(),
             dir: dir.clone(),
         };
         let spec_path = dir.join("spec.txt");
@@ -240,6 +237,7 @@ impl DeployCluster {
             telemetry: HashMap::new(),
             last_telemetry_poll: Instant::now(),
             binary,
+            _ports: reserved,
             spec,
             topo,
         };

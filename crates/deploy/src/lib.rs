@@ -21,14 +21,15 @@
 //! - [`conn`]: non-blocking framed connections, capped-backoff redialing,
 //!   and the per-process connection table both kinds of process keep —
 //!   and sleep in, until a socket is ready or a deadline has come.
-//! - [`sys`]: the one `unsafe` corner — `SO_REUSEADDR` listener binding so
-//!   a SIGKILL-respawned node can reclaim its port immediately, and the
+//! - [`sys`]: the one `unsafe` corner — port reservation and
+//!   `SO_REUSEADDR` listener binding, so a node finds its port free at
+//!   start and a SIGKILL-respawned one reclaims it immediately, and the
 //!   `ppoll(2)` behind that sleep.
 //! - [`topo`]: which process owns which party. The link table itself is
 //!   `seqnet_runtime::Topology`, re-derived by every process from
 //!   `(membership, seed)`; nothing is shipped, everything is recomputed.
 //! - [`spec`]: the plain-text cluster spec handed to child processes.
-//! - [`snapshot`]: atomic on-disk node checkpoints (write-temp-rename).
+//! - [`snapshot`]: on-disk node checkpoints, two slots written in place.
 //! - [`node`] / [`child`]: the sequencing-node process — the socket shell
 //!   around `seqnet_runtime::NodeMachine`.
 //! - [`coord`]: the coordinator — publisher, in-process subscriber hosts,

@@ -4,16 +4,16 @@
 //! around one [`NodeMachine`]: it re-derives the topology from the spec,
 //! restores its last disk snapshot (if any), listens for the coordinator
 //! and lower-index peers, dials higher-index peers, and then loops —
-//! frames off the connections into the machine, a checkpoint renamed into
-//! place when the machine asks for one, the machine's outbox onto the
-//! connections, then asleep until a socket is ready or the machine's next
-//! deadline has come. Group-commit, failure detection and replay
-//! accounting are the machine's, shared with the threaded runtime's node
-//! thread. SIGKILL can land anywhere in this loop; correctness rests
+//! frames off the connections into the machine, a checkpoint written to
+//! its store whenever that left the machine something to commit, the
+//! machine's outbox onto the connections, then asleep until a socket is
+//! ready or the machine's next deadline has come. Group-commit, failure
+//! detection and replay accounting are the machine's, shared with the
+//! threaded runtime's node thread. SIGKILL can land anywhere in this loop; correctness rests
 //! solely on the snapshot discipline, never on a clean shutdown path.
 
 use crate::conn::{Conn, Peers};
-use crate::snapshot::{snapshot_path, DiskSnapshot};
+use crate::snapshot::{CheckpointStore, DiskSnapshot};
 use crate::spec::ClusterSpec;
 use crate::sys::PollFd;
 use crate::topo::{Proc, Topology};
@@ -22,7 +22,6 @@ use seqnet_core::proto::trace::{Actor, EventKind, TraceEvent, TraceSink};
 use seqnet_core::proto::{Peer, ProtocolState};
 use seqnet_runtime::NodeMachine;
 use std::io::{self, Write as _};
-use std::net::TcpListener;
 use std::path::Path;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -97,26 +96,6 @@ impl TraceSink for ObsLog {
     }
 }
 
-/// Binds the node's listening port, absorbing the TIME_WAIT / rebind race
-/// after a SIGKILL-respawn cycle: SO_REUSEADDR plus a bounded retry loop.
-fn bind_with_retry(port: u16) -> io::Result<TcpListener> {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match crate::sys::listen_reuseaddr(port) {
-            Ok(l) => {
-                l.set_nonblocking(true)?;
-                return Ok(l);
-            }
-            Err(e) => {
-                if Instant::now() > deadline {
-                    return Err(e);
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        }
-    }
-}
-
 /// What the control messages of one poll round asked for, and over which
 /// connection to answer.
 #[derive(Debug, Default)]
@@ -175,32 +154,25 @@ pub fn run_node(spec: &ClusterSpec, idx: usize, incarnation: u64) -> io::Result<
     let mut obs = ObsLog::open(&spec.dir.join(format!("node{idx}.obs.jsonl")), config.trace);
     let restarted = incarnation > 0;
     let mut node = NodeMachine::new(idx, &topo, config, spec.epoch, restarted);
-    let snap_path = snapshot_path(&spec.dir, idx);
+    let (mut store, checkpoint) = CheckpointStore::open(&spec.dir, idx, spec.epoch)?;
 
-    if restarted {
-        match DiskSnapshot::load(&snap_path)? {
-            // A snapshot from another epoch indexes a retired sequencing
-            // graph: restoring it would misapply every counter. Nothing
-            // of the old epoch is owed by this node (the handoff drained
-            // epoch N before the epoch-N+1 spec was written), so a node
-            // that crashed mid-reconfiguration recovers fresh into the
-            // epoch its spec names.
-            Some(snap) if snap.epoch == spec.epoch => {
-                let mut protocol =
-                    ProtocolState::import_counters(&topo.graph, &snap.overlaps, &snap.groups);
-                protocol.set_epoch(spec.epoch);
-                node.restore(&topo, protocol, &snap.links)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                obs.record(TraceEvent {
-                    detail: Some(incarnation),
-                    ..TraceEvent::new(EventKind::Crash, Actor::Node(idx as u64))
-                });
-            }
-            _ => {}
-        }
+    // Without a checkpoint nothing ever escaped the node: a fresh start.
+    if let (true, Some(snap)) = (restarted, checkpoint) {
+        let mut protocol =
+            ProtocolState::import_counters(&topo.graph, &snap.overlaps, &snap.groups);
+        protocol.set_epoch(spec.epoch);
+        node.restore(&topo, protocol, &snap.links)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        obs.record(TraceEvent {
+            detail: Some(incarnation),
+            ..TraceEvent::new(EventKind::Crash, Actor::Node(idx as u64))
+        });
     }
 
-    let listener = bind_with_retry(spec.ports[idx])?;
+    // The coordinator holds the port reserved, so nobody else has it; a
+    // killed incarnation's listener died with its process.
+    let listener = crate::sys::listen_reuseaddr(spec.ports[idx])?;
+    listener.set_nonblocking(true)?;
     // Every process this node may hold a connection to. Dialing rule:
     // node i dials node j iff i < j (so each process pair has exactly one
     // connection) and the coordinator dials every node — so a node dials
@@ -302,10 +274,10 @@ pub fn run_node(spec: &ClusterSpec, idx: usize, incarnation: u64) -> io::Result<
             }
         }
 
-        let now = Instant::now();
-        node.snapshot(&topo, now, &mut obs, |protocol, link_state| {
-            // The machine releases staged frames and acks only after the
-            // rename below has returned.
+        // Everything this pass read is fed: commit it. The machine
+        // releases staged frames and acks only after the store's write has
+        // returned.
+        node.snapshot(&topo, &mut obs, |protocol, link_state| {
             let (overlaps, groups) = protocol.export_counters();
             let snap = DiskSnapshot {
                 epoch: spec.epoch,
@@ -313,11 +285,11 @@ pub fn run_node(spec: &ClusterSpec, idx: usize, incarnation: u64) -> io::Result<
                 groups,
                 links: std::mem::take(link_state),
             };
-            let saved = snap.save(&snap_path);
+            let stored = store.commit(&snap);
             *link_state = snap.links;
-            saved
+            stored
         })?;
-        for &peer in node.tick(&topo, now, &mut obs) {
+        for &peer in node.tick(&topo, Instant::now(), &mut obs) {
             // Tear the connection down so reconnect (with its replay)
             // rather than a half-dead socket carries the recovery.
             net.drop_conn(Proc::Node(peer));
@@ -340,6 +312,7 @@ mod tests {
     use seqnet_core::{Message, MessageId};
     use seqnet_membership::{GroupId, Membership, NodeId};
     use seqnet_runtime::ClusterConfig;
+    use std::net::TcpListener;
 
     /// A connected, non-blocking `Conn` pair over loopback.
     fn conn_pair() -> (Conn, Conn) {

@@ -52,10 +52,6 @@ impl ClusterSpec {
         s.push_str(&format!("backoff_cap_us {}\n", c.backoff_cap.as_micros()));
         s.push_str(&format!("link_delay_us {}\n", c.link_delay.as_micros()));
         s.push_str(&format!(
-            "snapshot_interval_us {}\n",
-            c.snapshot_interval.as_micros()
-        ));
-        s.push_str(&format!(
             "heartbeat_interval_us {}\n",
             c.heartbeat_interval.as_micros()
         ));
@@ -122,10 +118,6 @@ impl ClusterSpec {
                 }
                 "link_delay_us" => {
                     config.link_delay = Duration::from_micros(num("link_delay_us", rest)?);
-                }
-                "snapshot_interval_us" => {
-                    config.snapshot_interval =
-                        Duration::from_micros(num("snapshot_interval_us", rest)?);
                 }
                 "heartbeat_interval_us" => {
                     config.heartbeat_interval =

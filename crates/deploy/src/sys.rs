@@ -1,23 +1,28 @@
-//! The one OS-specific corner of the deployment: binding a listener with
-//! `SO_REUSEADDR`, and blocking on a set of sockets until one is ready.
+//! The one OS-specific corner of the deployment: holding a port and
+//! binding a listener with `SO_REUSEADDR`, blocking on a set of sockets
+//! until one is ready, and writing a file in place.
 //!
 //! A SIGKILLed node's accepted connections share its listening port; the
 //! kernel closes them on its behalf, leaving that port in `TIME_WAIT`.
 //! Without `SO_REUSEADDR` the respawned incarnation cannot rebind for a
 //! minute — longer than any recovery budget — so on Linux the listener is
 //! created by hand (socket → setsockopt → bind → listen) through a minimal
-//! FFI surface and wrapped back into a [`TcpListener`].
+//! FFI surface and wrapped back into a [`TcpListener`]. The same option
+//! lets the coordinator keep every node's port out of the kernel's hands
+//! between choosing it and the node listening on it, and across respawns
+//! ([`reserve_port`]).
 //!
 //! Both socket shells wait in [`poll`]: one `ppoll(2)` over the sockets
 //! they hold, until one is ready or the earliest deadline anyone holds
 //! has come. `ppoll` rather than `poll(2)` because the deadlines are
-//! sub-millisecond apart (a 3 ms commit interval, a 10 ms retransmission
-//! timer) and `poll(2)` counts in whole milliseconds. Elsewhere the
-//! fallback sleeps a short fixed time and reports every socket ready,
-//! which is the sleep-polling loop the shells used to run everywhere.
+//! sub-millisecond apart (a commit due now, a 10 ms retransmission timer)
+//! and `poll(2)` counts in whole milliseconds. Elsewhere the fallback
+//! sleeps a short fixed time and reports every socket ready, which is the
+//! sleep-polling loop the shells used to run everywhere.
 //!
 //! This module is the only `unsafe` code in the crate.
 
+use std::fs::File;
 use std::io;
 use std::net::TcpListener;
 use std::time::Instant;
@@ -96,7 +101,10 @@ mod imp {
     const SOL_SOCKET: i32 = 1;
     const SO_REUSEADDR: i32 = 2;
 
-    pub fn listen_reuseaddr(port: u16) -> io::Result<TcpListener> {
+    /// A `SO_REUSEADDR` socket bound to localhost `port` (0: the kernel
+    /// picks), listening if asked. Wrapped in a `TcpListener` either way:
+    /// that owns the descriptor and reads the port back.
+    fn bound_reuseaddr(port: u16, listening: bool) -> io::Result<TcpListener> {
         // SAFETY: plain libc socket calls on a freshly created fd; the fd
         // is closed on every error path and ownership passes to the
         // returned TcpListener on success.
@@ -125,11 +133,27 @@ mod imp {
             if bind(fd, &addr, std::mem::size_of::<SockaddrIn>() as u32) < 0 {
                 return Err(fail(fd));
             }
-            if listen(fd, 128) < 0 {
+            if listening && listen(fd, 128) < 0 {
                 return Err(fail(fd));
             }
             Ok(TcpListener::from_raw_fd(fd))
         }
+    }
+
+    pub fn listen_reuseaddr(port: u16) -> io::Result<TcpListener> {
+        bound_reuseaddr(port, true)
+    }
+
+    /// Bound and never listening: the kernel gives the port to no
+    /// connection as its source and to no `bind` to port 0, while another
+    /// `SO_REUSEADDR` socket may still bind it by number and listen.
+    pub fn reserve_port() -> io::Result<(u16, Option<TcpListener>)> {
+        let held = bound_reuseaddr(0, false)?;
+        Ok((held.local_addr()?.port(), Some(held)))
+    }
+
+    pub fn write_at_start(file: &File, buf: &[u8]) -> io::Result<()> {
+        std::os::unix::fs::FileExt::write_all_at(file, buf, 0)
     }
 
     pub fn poll(fds: &mut [PollFd], until: Option<Instant>) -> io::Result<usize> {
@@ -175,6 +199,19 @@ mod imp {
         TcpListener::bind(("127.0.0.1", port))
     }
 
+    /// Bind and release: without `SO_REUSEADDR` a held port could not be
+    /// bound by the node it is meant for.
+    pub fn reserve_port() -> io::Result<(u16, Option<TcpListener>)> {
+        let probe = TcpListener::bind("127.0.0.1:0")?;
+        Ok((probe.local_addr()?.port(), None))
+    }
+
+    pub fn write_at_start(mut file: &File, buf: &[u8]) -> io::Result<()> {
+        use std::io::{Seek, SeekFrom, Write};
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(buf)
+    }
+
     pub trait Socket {}
     impl<T> Socket for T {}
 
@@ -200,6 +237,44 @@ mod imp {
 /// Propagates the failing socket call's `errno`.
 pub fn listen_reuseaddr(port: u16) -> io::Result<TcpListener> {
     imp::listen_reuseaddr(port)
+}
+
+/// A localhost port set aside for a listener that does not exist yet (or
+/// will exist again: a respawned node's). Dropping it gives the port back.
+#[derive(Debug)]
+pub struct PortReservation {
+    port: u16,
+    _held: Option<TcpListener>,
+}
+
+impl PortReservation {
+    /// The reserved port.
+    pub fn port(&self) -> u16 {
+        self.port
+    }
+}
+
+/// Picks a free localhost port and holds it: until the reservation is
+/// dropped the kernel hands the port to nobody who did not ask for it by
+/// number, and [`listen_reuseaddr`] on it succeeds — before and after the
+/// reservation is dropped, and again after a listener on it has died.
+///
+/// # Errors
+///
+/// Propagates the failing socket call's `errno`.
+pub fn reserve_port() -> io::Result<PortReservation> {
+    let (port, _held) = imp::reserve_port()?;
+    Ok(PortReservation { port, _held })
+}
+
+/// Writes all of `buf` over the start of `file`, in one positional write
+/// where the platform has one. Neither truncates nor syncs.
+///
+/// # Errors
+///
+/// Propagates the write's failure.
+pub fn write_at_start(file: &File, buf: &[u8]) -> io::Result<()> {
+    imp::write_at_start(file, buf)
 }
 
 /// Blocks until a socket in `fds` is ready for what its entry asked, or
@@ -313,6 +388,44 @@ mod tests {
             waited >= wait,
             "returned after {waited:?}, before the deadline"
         );
+    }
+
+    /// A reserved port stays bound (which is what keeps the kernel from
+    /// handing it out), yet the node it is reserved for can listen and
+    /// accept on it — while the reservation is held, again after a
+    /// listener on it died with a connection open, and after the
+    /// reservation is gone.
+    #[test]
+    fn a_reserved_port_is_still_listenable() {
+        let reserved = reserve_port().expect("reserve");
+        let port = reserved.port();
+        assert_ne!(port, 0);
+        let accept_on = |port: u16| {
+            let listener = listen_reuseaddr(port).expect("listen on the reserved port");
+            let client = std::net::TcpStream::connect(("127.0.0.1", port)).expect("connect");
+            let (server, _) = listener.accept().expect("accept");
+            (client, server)
+        };
+        // The listener dies with a connection open, as a killed node's does.
+        drop(accept_on(port));
+        drop(accept_on(port));
+        drop(reserved);
+        drop(accept_on(port));
+    }
+
+    #[test]
+    fn write_at_start_overwrites_in_place_without_truncating() {
+        let path = std::env::temp_dir().join(format!("seqnet-sys-write-{}", std::process::id()));
+        let file = File::options()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)
+            .expect("open");
+        write_at_start(&file, b"0123456789").expect("write");
+        write_at_start(&file, b"abc").expect("overwrite");
+        assert_eq!(std::fs::read(&path).expect("read"), b"abc3456789");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

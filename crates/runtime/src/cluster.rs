@@ -39,6 +39,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 enum ThreadMsg {
     Frame(Transmission),
+    /// Carries nothing: gets a thread blocked on its inbox to look at its
+    /// kill flag.
+    Wake,
     Shutdown,
 }
 
@@ -88,11 +91,6 @@ pub struct ClusterConfig {
     /// reorder (per-link FIFO is restored by the link layer). Zero sends
     /// directly.
     pub link_delay: Duration,
-    /// How often sequencing nodes checkpoint their durable state. Staged
-    /// output frames and cumulative acks leave the node only at snapshot
-    /// time, so this bounds both the recovery rollback window and the
-    /// added per-hop latency.
-    pub snapshot_interval: Duration,
     /// How often sequencing nodes emit heartbeats on node-to-node links.
     /// A peer silent for [`heartbeat_miss_threshold`](Self::heartbeat_miss_threshold)
     /// intervals is suspected (counted in [`RuntimeStats::heartbeat_misses`]).
@@ -147,13 +145,6 @@ impl ClusterConfig {
                 self.backoff_cap, self.retransmit_timeout
             ));
         }
-        if self.snapshot_interval.is_zero() {
-            return Err(
-                "snapshot_interval must be positive: staged frames and acks only \
-                 leave a node at snapshot time"
-                    .into(),
-            );
-        }
         if self.heartbeat_interval.is_zero() {
             return Err(
                 "heartbeat_interval must be positive: zero-interval heartbeats \
@@ -179,7 +170,6 @@ impl Default for ClusterConfig {
             retransmit_timeout: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(80),
             link_delay: Duration::ZERO,
-            snapshot_interval: Duration::from_millis(3),
             heartbeat_interval: Duration::from_millis(15),
             heartbeat_miss_threshold: 3,
             coalesce: false,
@@ -565,23 +555,26 @@ impl Cluster {
         })
     }
 
-    /// Waits for a note on the live channel until `deadline`, pumping the
-    /// publisher meanwhile, and books it in the delivery ledger. A
-    /// deadline already past still pumps once and takes a note that is
-    /// waiting — a zero timeout polls, it does not give up unasked.
+    /// Waits for a note on the live channel until `deadline`, waking to
+    /// pump the publisher whenever its earliest retransmission falls due
+    /// first, and books the note in the delivery ledger. A deadline
+    /// already past still pumps once and takes a note that is waiting — a
+    /// zero timeout polls, it does not give up unasked.
     fn recv_note(&mut self, deadline: Instant) -> Option<(NodeId, Message)> {
         loop {
             self.pump_publisher();
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self
-                .notes
-                .recv_timeout(remaining.min(Duration::from_millis(2)))
-            {
+            let now = Instant::now();
+            let until = self
+                .pub_engine
+                .next_deadline()
+                .map_or(deadline, |retransmit| retransmit.min(deadline));
+            let wait = until.saturating_duration_since(now);
+            match self.notes.recv_timeout(wait) {
                 Ok(note) => {
                     self.front.note_delivery();
                     return Some(note);
                 }
-                Err(RecvTimeoutError::Timeout) if remaining.is_zero() => return None,
+                Err(RecvTimeoutError::Timeout) if now >= deadline => return None,
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return None,
             }
@@ -607,6 +600,7 @@ impl Cluster {
             return false;
         };
         self.kill_flags[&node].store(true, Ordering::Relaxed);
+        let _ = self.wiring.outboxes[&Peer::Node(node)].send(ThreadMsg::Wake);
         let _ = handle.join();
         self.wiring.stats.lock().recovery.crashes += 1;
         // The core never sees a crash event here (the crash *is* the
@@ -963,10 +957,29 @@ fn merge_stats(mut a: RuntimeStats, b: RuntimeStats) -> RuntimeStats {
     a
 }
 
+/// How many inbox messages a node thread feeds its machine before it
+/// commits and keeps time again, so neither waits on a flood.
+const MAX_BATCH: usize = 256;
+
+/// How long a thread whose machine reports no deadline sleeps between
+/// looks: it has nothing to do until a message arrives, and an early wake
+/// is an empty pass. (The untimed `recv` would say this better; the
+/// channel stand-in the offline build patches in has only the timed one.)
+const IDLE_WAIT: Duration = Duration::from_secs(3600);
+
+/// Blocks on `inbox` until a message arrives or `deadline` comes.
+fn recv_until(
+    inbox: &Receiver<ThreadMsg>,
+    deadline: Option<Instant>,
+) -> Result<ThreadMsg, RecvTimeoutError> {
+    let wait = deadline.map_or(IDLE_WAIT, |at| at.saturating_duration_since(Instant::now()));
+    inbox.recv_timeout(wait)
+}
+
 /// A sequencing-node thread: the channel shell around one
-/// [`NodeMachine`]. Blocks on its inbox for at most one tick, feeds the
-/// machine what arrived, stores a checkpoint when the machine asks, and
-/// routes the machine's outbox. `restarted` marks a post-crash
+/// [`NodeMachine`]. Blocks on its inbox until the machine's next deadline,
+/// feeds the machine what arrived, stores a checkpoint when the machine
+/// asks, and routes the machine's outbox. `restarted` marks a post-crash
 /// incarnation that restores the latest checkpoint from the store.
 fn node_thread(
     idx: usize,
@@ -991,11 +1004,15 @@ fn node_thread(
         stats.recovery.merge(&node.recovery_stats());
     };
 
-    let tick = config
-        .snapshot_interval
-        .min(config.retransmit_timeout / 2)
-        .max(Duration::from_millis(1));
     let mut batch: Vec<ThreadMsg> = Vec::new();
+    let drain = |batch: &mut Vec<ThreadMsg>| {
+        while batch.len() < MAX_BATCH {
+            match inbox.try_recv() {
+                Ok(m) => batch.push(m),
+                Err(_) => break,
+            }
+        }
+    };
 
     loop {
         if kill.load(Ordering::Relaxed) {
@@ -1004,25 +1021,32 @@ fn node_thread(
             return;
         }
 
-        // Block briefly for one message, then drain the immediate backlog
-        // (bounded, so housekeeping still runs under flood) — a restarted
-        // node chews through queued retransmissions before its first
+        // Wait for one message, then take the backlog behind it (bounded,
+        // so housekeeping still runs under flood) — a restarted node
+        // chews through queued retransmissions before its first
         // checkpoint this way.
-        match inbox.recv_timeout(tick) {
+        match recv_until(&inbox, node.next_deadline()) {
             Ok(m) => batch.push(m),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
-        while batch.len() < 256 {
-            match inbox.try_recv() {
-                Ok(m) => batch.push(m),
-                Err(_) => break,
-            }
+        // One checkpoint will cover this batch, so its size is what a
+        // checkpoint costs per frame. Yielding lets the load size it: on
+        // an idle machine the yield returns at once with nothing new and
+        // the frame leaves now; on a busy one the producers run first,
+        // the batch grows, and it is worth asking again.
+        drain(&mut batch);
+        let mut seen = 0;
+        while seen < batch.len() && batch.len() < MAX_BATCH {
+            seen = batch.len();
+            std::thread::yield_now();
+            drain(&mut batch);
         }
         let mut shutdown = false;
         for msg in batch.drain(..) {
             match msg {
                 ThreadMsg::Shutdown => shutdown = true,
+                ThreadMsg::Wake => {}
                 ThreadMsg::Frame(t) => {
                     node.on_link(topo, t.link, t.seq, t.body, &mut wiring.sink());
                 }
@@ -1032,10 +1056,9 @@ fn node_thread(
             break;
         }
 
-        let now = Instant::now();
         {
             let sink = &mut wiring.sink();
-            node.snapshot(topo, now, sink, |protocol, links| {
+            node.snapshot(topo, sink, |protocol, links| {
                 // Keep the new link snapshot by swapping it with the
                 // previous checkpoint's buffers, which the machine reuses.
                 let mut store = wiring.snapshots.lock();
@@ -1045,7 +1068,7 @@ fn node_thread(
                 Ok::<(), Infallible>(())
             })
             .unwrap_or_else(|never| match never {});
-            node.tick(topo, now, sink);
+            node.tick(topo, Instant::now(), sink);
         }
         wiring.route(node.drain_outbox());
     }
@@ -1053,7 +1076,9 @@ fn node_thread(
 }
 
 /// A subscriber-host thread: reliable link termination plus the delivery
-/// queue. Hosts never crash, so they acknowledge every frame immediately.
+/// queue. Hosts never crash, so they acknowledge every frame immediately
+/// and hold no unacknowledged data of their own: the thread normally
+/// sleeps until a frame arrives.
 fn host_thread(
     host: NodeId,
     inbox: Receiver<ThreadMsg>,
@@ -1062,12 +1087,11 @@ fn host_thread(
 ) {
     let topo = &wiring.topo;
     let mut machine = HostMachine::new(host, topo, &wiring.config);
-    let tick = (wiring.config.retransmit_timeout / 2).max(Duration::from_millis(1));
 
     loop {
-        match inbox.recv_timeout(tick) {
+        match recv_until(&inbox, machine.engine().next_deadline()) {
             Ok(ThreadMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {}
+            Ok(ThreadMsg::Wake) | Err(RecvTimeoutError::Timeout) => {}
             Ok(ThreadMsg::Frame(t)) => machine.on_link(
                 topo,
                 t.link,
@@ -1107,7 +1131,7 @@ mod tests {
     fn config_validation_names_the_offending_field() {
         assert!(ClusterConfig::default().validate().is_ok());
 
-        let cases: [(ClusterConfig, &str); 6] = [
+        let cases: [(ClusterConfig, &str); 5] = [
             (
                 ClusterConfig {
                     drop_probability: 1.0,
@@ -1128,13 +1152,6 @@ mod tests {
                     ..ClusterConfig::default()
                 },
                 "backoff_cap",
-            ),
-            (
-                ClusterConfig {
-                    snapshot_interval: Duration::ZERO,
-                    ..ClusterConfig::default()
-                },
-                "snapshot_interval",
             ),
             (
                 ClusterConfig {

@@ -69,12 +69,10 @@ pub struct NodeMachine {
     /// Outgoing node links this node heartbeats on.
     hb_out: Vec<(Peer, u32)>,
     newly_suspected: Vec<usize>,
-    snapshot_interval: Duration,
     heartbeat_interval: Duration,
     /// Silence after which a watched peer is suspected.
     suspect_after: Duration,
     started: Instant,
-    last_snapshot: Instant,
     last_heartbeat: Instant,
     /// Whether anything checkpoint-worthy happened since the last
     /// checkpoint; an idle node re-persisting identical state buys nothing.
@@ -117,11 +115,9 @@ impl NodeMachine {
             watched: watched.into_iter().map(|p| (p, (now, false))).collect(),
             hb_out,
             newly_suspected: Vec::new(),
-            snapshot_interval: config.snapshot_interval,
             heartbeat_interval: config.heartbeat_interval,
             suspect_after: config.heartbeat_interval * config.heartbeat_miss_threshold,
             started: now,
-            last_snapshot: now,
             last_heartbeat: now,
             dirty: false,
             replaying: restarted,
@@ -206,12 +202,19 @@ impl NodeMachine {
         }
     }
 
-    /// The group-commit step. When a checkpoint is due — something
-    /// changed or output is staged, and `snapshot_interval` has passed —
-    /// hands `persist` the state to store: the protocol counters and the
-    /// link snapshot. Only its `Ok` lets the staged frames and the
-    /// cumulative acks into the outbox; on `Err` nothing is released and
-    /// the error is returned. Returns whether a checkpoint was taken.
+    /// The group-commit step. When there is something to commit — input
+    /// was released or output is staged since the last checkpoint — hands
+    /// `persist` the state to store: the protocol counters and the link
+    /// snapshot. Only its `Ok` lets the staged frames and the cumulative
+    /// acks into the outbox; on `Err` nothing is released, the machine
+    /// stays due, and the error is returned. Returns whether a checkpoint
+    /// was taken.
+    ///
+    /// There is no timer: a shell calls this after every batch of
+    /// arrivals, so a checkpoint covers whatever arrived while the
+    /// previous pass ran — the batch grows with the load and shrinks to
+    /// one frame on an idle node — and a node nothing reached persists
+    /// nothing.
     ///
     /// The link snapshot is this machine's scratch: `persist` may read it,
     /// or swap it for a previous checkpoint's buffers to keep the new one
@@ -223,12 +226,10 @@ impl NodeMachine {
     pub fn snapshot<S: TraceSink + ?Sized, E>(
         &mut self,
         topo: &Topology,
-        now: Instant,
         sink: &mut S,
         persist: impl FnOnce(&ProtocolState, &mut LinkSnapshot) -> Result<(), E>,
     ) -> Result<bool, E> {
-        let idle = !self.dirty && self.engine.staged_len() == 0;
-        if idle || now.duration_since(self.last_snapshot) < self.snapshot_interval {
+        if !self.commit_due() {
             return Ok(false);
         }
         let rx_next = self.engine.rx_next_by_peer(topo);
@@ -253,7 +254,6 @@ impl NodeMachine {
                 other => unreachable!("snapshots only flush and ack: {other:?}"),
             }
         }
-        self.last_snapshot = now;
         self.dirty = false;
         if self.replaying && self.replayed > 0 {
             // Recovery complete: the replayed input is durable again.
@@ -296,18 +296,24 @@ impl NodeMachine {
         &self.newly_suspected
     }
 
+    /// Whether [`snapshot`](Self::snapshot) has something to commit:
+    /// input released since the last checkpoint, or output still staged.
+    /// Acks and heartbeats alone change nothing a checkpoint records.
+    fn commit_due(&self) -> bool {
+        self.dirty || self.engine.staged_len() > 0
+    }
+
     /// The earliest instant at which [`snapshot`](Self::snapshot) or
     /// [`tick`](Self::tick) will have something to do without a new
-    /// arrival: the next checkpoint (only while something is dirty or
-    /// staged), the next heartbeat, the first watched peer to fall silent
-    /// for too long, the earliest retransmission. `None` for a node with
-    /// none of these — nothing to commit, no node links, nothing
-    /// unacknowledged. A shell that blocks on its transport wakes no later
-    /// than this, so what a node does and when does not depend on how
-    /// often the shell looks.
+    /// arrival: now, while there is something to commit; otherwise the
+    /// next heartbeat, the first watched peer to fall silent for too
+    /// long, the earliest retransmission. `None` for a node with none of
+    /// these — nothing to commit, no node links, nothing unacknowledged.
+    /// A shell that blocks on its transport wakes no later than this, so
+    /// what a node does and when does not depend on how often the shell
+    /// looks.
     pub fn next_deadline(&self) -> Option<Instant> {
-        let commit = (self.dirty || self.engine.staged_len() > 0)
-            .then(|| self.last_snapshot + self.snapshot_interval);
+        let commit = self.commit_due().then(Instant::now);
         let heartbeat =
             (!self.hb_out.is_empty()).then(|| self.last_heartbeat + self.heartbeat_interval);
         let suspicion = self

@@ -11,17 +11,13 @@ use seqnet_runtime::{
     ClusterConfig, HostMachine, LinkBody, LinkSnapshot, NodeMachine, Topology, Transmission,
 };
 use std::convert::Infallible;
-use std::time::{Duration, Instant};
 
 fn membership() -> Membership {
     Membership::from_groups([(GroupId(0), vec![NodeId(0), NodeId(1)])])
 }
 
 fn config() -> ClusterConfig {
-    ClusterConfig {
-        snapshot_interval: Duration::from_millis(1),
-        ..ClusterConfig::default()
-    }
+    ClusterConfig::default()
 }
 
 /// Publishes messages `0..count` through group 0's sequencing node and
@@ -39,9 +35,8 @@ fn sequenced_for(topo: &Topology, host: NodeId, count: u64) -> Vec<Transmission>
         };
         node.on_link(topo, link, i + 1, LinkBody::Data(frame), &mut NullSink);
     }
-    let later = Instant::now() + Duration::from_secs(1);
     let persist = |_: &ProtocolState, _: &mut LinkSnapshot| Ok::<(), Infallible>(());
-    node.snapshot(topo, later, &mut NullSink, persist)
+    node.snapshot(topo, &mut NullSink, persist)
         .expect("infallible");
     node.drain_outbox()
         .filter(|t| t.to == Peer::Host(host) && matches!(t.body, LinkBody::Data(_)))

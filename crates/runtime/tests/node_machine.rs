@@ -21,10 +21,7 @@ fn membership() -> Membership {
 }
 
 fn config() -> ClusterConfig {
-    ClusterConfig {
-        snapshot_interval: Duration::from_millis(1),
-        ..ClusterConfig::default()
-    }
+    ClusterConfig::default()
 }
 
 /// The ingress node of group 0, its publisher link, and a publish
@@ -49,9 +46,8 @@ fn nothing_escapes_before_a_persisted_snapshot() {
     let topo = Topology::derive(&membership(), 3);
     let (idx, link, frame) = ingress(&topo);
     let mut node = NodeMachine::new(idx, &topo, &config(), 0, false);
-    let start = Instant::now();
     assert_eq!(
-        node.snapshot(&topo, start + Duration::from_secs(1), &mut NullSink, ok),
+        node.snapshot(&topo, &mut NullSink, ok),
         Ok(false),
         "an idle node takes no checkpoint"
     );
@@ -68,8 +64,7 @@ fn nothing_escapes_before_a_persisted_snapshot() {
     );
 
     // A failed persist releases nothing.
-    let later = start + Duration::from_secs(1);
-    let failed = node.snapshot(&topo, later, &mut NullSink, |_, _| Err("disk full"));
+    let failed = node.snapshot(&topo, &mut NullSink, |_, _| Err("disk full"));
     assert_eq!(failed, Err("disk full"));
     assert_eq!(node.drain_outbox().count(), 0);
     assert_eq!(node.counters().snapshots, 0);
@@ -77,7 +72,7 @@ fn nothing_escapes_before_a_persisted_snapshot() {
     // A successful one flushes the staged frames and acks upstream.
     let mut seen = None;
     let mut trace = Recorder::new();
-    let taken = node.snapshot(&topo, later, &mut trace, |_, links| {
+    let taken = node.snapshot(&topo, &mut trace, |_, links| {
         seen = Some(links.clone());
         Ok::<(), Infallible>(())
     });
@@ -97,10 +92,114 @@ fn nothing_escapes_before_a_persisted_snapshot() {
         .iter()
         .any(|e| e.kind == EventKind::SnapshotFlush));
     assert_eq!(
-        node.snapshot(&topo, later + Duration::from_secs(1), &mut NullSink, ok),
+        node.snapshot(&topo, &mut NullSink, ok),
         Ok(false),
         "clean again"
     );
+}
+
+/// The commit rule has no clock in it: a machine that released a frame
+/// commits at the very next call, one that released nothing never calls
+/// `persist`, and `next_deadline` says so to a shell that sleeps on it.
+#[test]
+fn a_released_frame_commits_at_once_and_an_idle_machine_never_persists() {
+    let topo = Topology::derive(&membership(), 3);
+    let (idx, link, frame) = ingress(&topo);
+    let mut node = NodeMachine::new(idx, &topo, &config(), 0, false);
+    let never = |_: &ProtocolState, _: &mut LinkSnapshot| -> Result<(), Infallible> {
+        panic!("an idle machine has nothing to persist")
+    };
+    for _ in 0..3 {
+        assert_eq!(node.snapshot(&topo, &mut NullSink, never), Ok(false));
+    }
+    assert!(
+        node.next_deadline().is_none_or(|at| at > Instant::now()),
+        "nothing is due on an idle machine but its timers"
+    );
+
+    for seq in 1..=3 {
+        let arrived = Instant::now();
+        let body = LinkBody::Data(frame.clone());
+        node.on_link(&topo, link, seq, body, &mut NullSink);
+        let due = node.next_deadline().expect("a commit is due");
+        assert!(due <= Instant::now(), "due now, not an interval from now");
+        assert_eq!(node.snapshot(&topo, &mut NullSink, ok), Ok(true));
+        assert!(
+            arrived.elapsed() < Duration::from_millis(3),
+            "no wall-clock wait is part of the rule"
+        );
+        assert_eq!(node.counters().snapshots, seq);
+        assert!(node.drain_outbox().count() >= 2, "data out, ack back");
+        assert_eq!(node.snapshot(&topo, &mut NullSink, never), Ok(false));
+    }
+}
+
+/// `persist` failing leaves everything where it was — staged, unacked,
+/// due — and the next success releases it all exactly once.
+#[test]
+fn a_failed_persist_keeps_the_machine_due_and_the_retry_releases_once() {
+    let topo = Topology::derive(&membership(), 3);
+    let (idx, link, frame) = ingress(&topo);
+    let mut node = NodeMachine::new(idx, &topo, &config(), 0, false);
+    node.on_link(&topo, link, 1, LinkBody::Data(frame.clone()), &mut NullSink);
+    node.on_link(&topo, link, 2, LinkBody::Data(frame), &mut NullSink);
+    let staged = node.engine().staged_len();
+    assert!(staged >= 2);
+
+    for _ in 0..2 {
+        let failed = node.snapshot(&topo, &mut NullSink, |_, _| Err("disk full"));
+        assert_eq!(failed, Err("disk full"));
+        assert_eq!(node.drain_outbox().count(), 0, "no frame, no ack");
+        assert_eq!(node.engine().staged_len(), staged);
+        assert_eq!(node.counters().snapshots, 0);
+        let due = node.next_deadline().expect("still owes a commit");
+        assert!(due <= Instant::now());
+    }
+
+    assert_eq!(node.snapshot(&topo, &mut NullSink, ok), Ok(true));
+    let out: Vec<Transmission> = node.drain_outbox().collect();
+    let data = out
+        .iter()
+        .filter(|t| matches!(t.body, LinkBody::Data(_)))
+        .count();
+    assert_eq!(data, staged, "every staged frame, once");
+    let acks: Vec<&Transmission> = out
+        .iter()
+        .filter(|t| t.body == LinkBody::AckThrough)
+        .collect();
+    assert_eq!(acks.len(), 1);
+    assert_eq!((acks[0].to, acks[0].seq), (Peer::Publisher, 2));
+    assert_eq!(node.snapshot(&topo, &mut NullSink, ok), Ok(false));
+    assert_eq!(node.drain_outbox().count(), 0, "and not again");
+}
+
+/// Acknowledgments change nothing a checkpoint records: a machine that
+/// only heard acks is not due and does not commit.
+#[test]
+fn acks_alone_do_not_make_the_machine_due() {
+    let topo = Topology::derive(&membership(), 3);
+    let (idx, link, frame) = ingress(&topo);
+    let mut node = NodeMachine::new(idx, &topo, &config(), 0, false);
+    node.on_link(&topo, link, 1, LinkBody::Data(frame), &mut NullSink);
+    assert_eq!(node.snapshot(&topo, &mut NullSink, ok), Ok(true));
+    let sent: Vec<Transmission> = node
+        .drain_outbox()
+        .filter(|t| matches!(t.body, LinkBody::Data(_)))
+        .collect();
+    assert!(!sent.is_empty());
+
+    for t in &sent {
+        node.on_link(&topo, t.link, t.seq, LinkBody::Ack, &mut NullSink);
+    }
+    assert!(
+        node.next_deadline().is_none_or(|at| at > Instant::now()),
+        "acks released nothing: only timers are left"
+    );
+    let persisted = node.snapshot(&topo, &mut NullSink, |_, _| -> Result<(), Infallible> {
+        panic!("nothing to persist")
+    });
+    assert_eq!(persisted, Ok(false));
+    assert_eq!(node.counters().snapshots, 1);
 }
 
 #[test]
@@ -110,9 +209,8 @@ fn restore_resumes_floors_and_counts_the_replay() {
     let mut first = NodeMachine::new(idx, &topo, &config(), 0, false);
     first.on_link(&topo, link, 1, LinkBody::Data(frame.clone()), &mut NullSink);
     let mut saved = None;
-    let later = Instant::now() + Duration::from_secs(1);
     first
-        .snapshot(&topo, later, &mut NullSink, |protocol, links| {
+        .snapshot(&topo, &mut NullSink, |protocol, links| {
             saved = Some((protocol.clone(), links.clone()));
             Ok::<(), Infallible>(())
         })
@@ -135,7 +233,7 @@ fn restore_resumes_floors_and_counts_the_replay() {
         "in-progress replay counts"
     );
     second
-        .snapshot(&topo, later + Duration::from_secs(1), &mut NullSink, ok)
+        .snapshot(&topo, &mut NullSink, ok)
         .expect("infallible");
     let acks: Vec<Transmission> = second
         .drain_outbox()

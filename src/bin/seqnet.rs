@@ -275,7 +275,6 @@ fn cmd_cluster(opts: &Options) -> Result<(), String> {
     let membership = ZipfGroups::new(hosts, groups).with_min_size(2).sample(&mut rng);
     let config = ClusterConfig {
         seed,
-        snapshot_interval: Duration::from_millis(2),
         trace,
         ..ClusterConfig::default()
     };

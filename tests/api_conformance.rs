@@ -189,7 +189,6 @@ mod benchmark_surface {
             retransmit_timeout: _,
             backoff_cap: _,
             link_delay: _,
-            snapshot_interval: _,
             heartbeat_interval: _,
             heartbeat_miss_threshold: _,
             coalesce: _,

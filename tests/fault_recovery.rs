@@ -268,7 +268,6 @@ fn two_nodes_down_concurrently() {
 fn every_node_crashes_and_replay_restores_service() {
     let m = two_sequencing_node_membership();
     let config = ClusterConfig {
-        snapshot_interval: Duration::from_millis(2),
         heartbeat_interval: Duration::from_millis(5),
         ..ClusterConfig::default()
     };
